@@ -1,8 +1,9 @@
 package vmprim
 
-// One benchmark per table/figure of the reconstructed evaluation (see
-// DESIGN.md). Each benchmark regenerates its experiment through the
-// internal/bench harness and prints the table once, so the output of
+// One sub-benchmark of BenchmarkExperiment per table/figure of the
+// reconstructed evaluation (see DESIGN.md). Each regenerates its
+// experiment through the internal/bench harness and prints the table
+// once, so the output of
 //
 //	go test -bench . -benchmem
 //
@@ -25,37 +26,26 @@ import (
 
 var printOnce sync.Map
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var last *bench.Table
-	for i := 0; i < b.N; i++ {
-		t, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	if _, done := printOnce.LoadOrStore(id, true); !done && last != nil {
-		fmt.Fprintln(os.Stdout)
-		last.Fprint(os.Stdout)
+// BenchmarkExperiment regenerates every registered experiment, one
+// sub-benchmark per ID: go test -bench Experiment/E4 runs one table.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var last *bench.Table
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = t
+			}
+			if _, done := printOnce.LoadOrStore(e.ID, true); !done && last != nil {
+				fmt.Fprintln(os.Stdout)
+				last.Fprint(os.Stdout)
+			}
+		})
 	}
 }
-
-func BenchmarkE1Primitives(b *testing.B) { runExperiment(b, "E1") }
-func BenchmarkE2Scaling(b *testing.B)    { runExperiment(b, "E2") }
-func BenchmarkE3Matvec(b *testing.B)     { runExperiment(b, "E3") }
-func BenchmarkE4Gauss(b *testing.B)      { runExperiment(b, "E4") }
-func BenchmarkE5Simplex(b *testing.B)    { runExperiment(b, "E5") }
-func BenchmarkF1Speedup(b *testing.B)    { runExperiment(b, "F1") }
-func BenchmarkF2Efficiency(b *testing.B) { runExperiment(b, "F2") }
-func BenchmarkF3Embedding(b *testing.B)  { runExperiment(b, "F3") }
-func BenchmarkA1Ports(b *testing.B)      { runExperiment(b, "A1") }
-func BenchmarkA2Broadcast(b *testing.B)  { runExperiment(b, "A2") }
-func BenchmarkA3Cyclic(b *testing.B)     { runExperiment(b, "A3") }
 
 // Micro-benchmarks of the individual primitives at a fixed
 // configuration (d=8, 512x512), reporting simulated machine time per
@@ -68,6 +58,7 @@ func primitiveBench(b *testing.B, body func(e *core.Env, a *core.Matrix)) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer m.Close()
 	g := embed.SplitFor(d, n, n)
 	a, err := core.FromDense(g, bench.RandMat(1, n, n), embed.Block, embed.Block)
 	if err != nil {
@@ -118,10 +109,3 @@ func BenchmarkPrimitiveReduceColLoc(b *testing.B) {
 func BenchmarkPrimitiveTranspose(b *testing.B) {
 	primitiveBench(b, func(e *core.Env, a *core.Matrix) { e.Transpose(a) })
 }
-
-func BenchmarkX1MatMul(b *testing.B)          { runExperiment(b, "X1") }
-func BenchmarkX2DirectIterative(b *testing.B) { runExperiment(b, "X2") }
-
-func BenchmarkA4AllPort(b *testing.B) { runExperiment(b, "A4") }
-
-func BenchmarkX3Tridiag(b *testing.B) { runExperiment(b, "X3") }

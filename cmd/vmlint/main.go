@@ -1,22 +1,22 @@
-// Command vmlint runs the repository's static-analysis suite: nine
-// analyzers that enforce at compile time the invariants the simulator
-// otherwise only checks (or fails to check) at run time.
+// Command vmlint runs the repository's static-analysis suite: seven
+// diagnostic analyzers that enforce at compile time the invariants the
+// simulator otherwise only checks (or fails to check) at run time.
 //
 //	recyclecheck    pooled buffers from GetBuf/Recv are recycled,
 //	                returned, or handed off — no pool leaks
 //	spanbalance     BeginSpan/EndSpan pairs balance on every
 //	                control-flow path
-//	spmdsym         collectives are not control-dependent on
-//	                processor identity inside SPMD code
-//	collorder       all processors execute the same communication
-//	                sequence with agreeing dims, masks, tags and roots
 //	simdeterminism  no wall-clock reads, global rand, or
 //	                map-order-dependent communication in the simulator
-//	commverify      point-to-point protocols are deadlock-free:
-//	                every concretizable SPMD scope is bounded
-//	                model-checked on cubes up to d=4, and unmatched
-//	                sends, tag mismatches, and cyclic waits are
-//	                reported with a counterexample schedule
+//	commverify      every processor agrees on each exchange's
+//	                dimension, tag and subcube: each concretizable
+//	                SPMD scope is bounded model-checked on cubes up
+//	                to d=4 (deadlocks, unmatched sends, tag
+//	                mismatches and asymmetric spans come with a
+//	                counterexample); scopes it cannot decide fall
+//	                back to taint checks for collectives and spans
+//	                under identity-dependent control and
+//	                identity-derived dims, masks, tags and roots
 //	lockdiscipline  in the host-concurrent packages (the serving
 //	                plane), mutexes balance Lock/Unlock on every
 //	                path, are never re-acquired on a path that holds
@@ -70,7 +70,6 @@ import (
 	"os"
 	"sort"
 
-	"vmprim/internal/analysis/collorder"
 	"vmprim/internal/analysis/commverify"
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/hostconc"
@@ -80,15 +79,12 @@ import (
 	"vmprim/internal/analysis/recyclecheck"
 	"vmprim/internal/analysis/simdeterminism"
 	"vmprim/internal/analysis/spanbalance"
-	"vmprim/internal/analysis/spmdsym"
 )
 
 func analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		recyclecheck.Analyzer,
 		spanbalance.Analyzer,
-		spmdsym.Analyzer,
-		collorder.Analyzer,
 		simdeterminism.Analyzer,
 		commverify.Analyzer,
 		hostconc.Analyzer,

@@ -118,8 +118,8 @@ func TestProblemMatcherCoversAnalyzers(t *testing.T) {
 // docs promise, exactly once, the hostconc family included.
 func TestAnalyzerRoster(t *testing.T) {
 	want := map[string]bool{
-		"recyclecheck": false, "spanbalance": false, "spmdsym": false,
-		"collorder": false, "simdeterminism": false, "commverify": false,
+		"recyclecheck": false, "spanbalance": false,
+		"simdeterminism": false, "commverify": false,
 		"hostconc": false, "lockdiscipline": false, "goroutinelife": false,
 		"chanprotocol": false,
 	}

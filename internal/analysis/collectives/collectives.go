@@ -1,11 +1,11 @@
-// Package collectives is the base analyzer the SPMD checks build on:
+// Package collectives is the base analyzer the SPMD checker builds on:
 // it computes, per package, which functions (transitively) perform a
 // collective operation and which functions return values derived from
 // processor identity — and it exports both summaries as package
 // facts, so they survive package boundaries.
 //
-// It reports no diagnostics of its own. spmdsym and collorder list it
-// in Requires and consume its Result: a classifier that answers "is
+// It reports no diagnostics of its own. commverify lists it in
+// Requires and consumes its Result: a classifier that answers "is
 // this call a collective?" and "does this call's result depend on the
 // processor's identity?" for local functions (summarized in this
 // pass), for imported functions (summarized when their package was
@@ -20,8 +20,8 @@
 // makes every caller of grid.MyRank identity-dependent, and a wrapper
 // that hides a Reduce behind an exported function is still a
 // collective at its call sites in other packages. Without facts both
-// summaries stop at the package boundary and the dependent analyzers
-// silently miss the divergence.
+// summaries stop at the package boundary and commverify's taint tier
+// silently misses the divergence.
 package collectives
 
 import (

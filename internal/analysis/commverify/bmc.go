@@ -20,10 +20,16 @@ import (
 // confluent: one canonical round-based schedule decides reachability
 // of completion, and that schedule doubles as the counterexample.
 //
+// Span boundaries do not block, so they take no part in the schedule;
+// instead every processor's sequence of BeginSpan/EndSpan operations
+// must be the same, the SPMD contract the profiler's span tree relies
+// on.
+//
 // Instantiations that use a dimension or mask the cube does not have
 // skip that d (the protocol is written for bigger cubes); evaluation
 // failures (unbound variable, division by zero, blown unroll caps)
-// make the whole scope unverifiable and silent.
+// make the check inconclusive, and the scope goes to the taint
+// fallback.
 
 const (
 	maxDim  = 4    // cubes checked: d = 1..maxDim (2..16 procs)
@@ -65,6 +71,14 @@ func (c cop) String() string {
 		}
 		return fmt.Sprintf("%s(mask=%d, tag=%d)", c.name, c.mask, c.tag)
 	}
+}
+
+// spanEvent is one span boundary a processor executes. Two events
+// are the same operation when name, source position and anchoring
+// call site all agree.
+type spanEvent struct {
+	name     string
+	src, pos token.Pos
 }
 
 // verdict is one protocol violation with its anchoring position.
@@ -184,7 +198,12 @@ func eval(e *expr, fr frame, id, d int64) (int64, error) {
 type unroller struct {
 	id, d int64
 	ops   []cop
+	spans []spanEvent
 	bad   *verdict // statically certain runtime panic (duplicate ExchangeAll dim)
+	// at is the outermost inlined call being unrolled, if any: ops
+	// inside a callee anchor there, so a finding lands in the scope
+	// that was checked rather than in the helper it called.
+	at token.Pos
 }
 
 func (u *unroller) exec(body []stmt, fr frame) (returned bool, err error) {
@@ -246,7 +265,13 @@ func (u *unroller) exec(body []stmt, fr frame) (returned bool, err error) {
 				inner[s.callee.params[i]] = v
 			}
 			// A return inside the callee terminates the callee only.
-			if _, err := u.exec(s.callee.body, inner); err != nil {
+			outer := u.at
+			if !outer.IsValid() {
+				u.at = s.pos
+			}
+			_, err := u.exec(s.callee.body, inner)
+			u.at = outer
+			if err != nil {
 				return false, err
 			}
 			if u.bad != nil {
@@ -262,7 +287,13 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 		return fmt.Errorf("op budget exceeded")
 	}
 	evalAt := func(e *expr) (int64, error) { return eval(e, fr, u.id, u.d) }
+	pos := s.pos
+	if u.at.IsValid() {
+		pos = u.at
+	}
 	switch s.kind {
+	case opSpan:
+		u.spans = append(u.spans, spanEvent{name: s.name, src: s.pos, pos: pos})
 	case opSend, opRecv, opExchange:
 		dim, err := evalAt(s.dim)
 		if err != nil {
@@ -276,10 +307,10 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 			return err
 		}
 		if s.kind != opRecv {
-			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: s.pos})
+			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: pos})
 		}
 		if s.kind != opSend {
-			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: s.pos})
+			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: pos})
 		}
 	case opExchangeAll:
 		tag, err := evalAt(s.tag)
@@ -297,7 +328,7 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 				return errSkipDim
 			}
 			if seen[dim] {
-				u.bad = &verdict{pos: s.pos, msg: fmt.Sprintf(
+				u.bad = &verdict{pos: pos, msg: fmt.Sprintf(
 					"ExchangeAll dimension list contains dim %d twice for p%d on the d=%d cube: the runtime panics on duplicate dimensions",
 					dim, u.id, u.d)}
 				return nil
@@ -306,10 +337,10 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 			dims = append(dims, dim)
 		}
 		for _, dim := range dims {
-			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: s.pos})
+			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: pos})
 		}
 		for _, dim := range dims {
-			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: s.pos})
+			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: pos})
 		}
 	case opColl:
 		mask, err := evalAt(s.mask)
@@ -328,7 +359,7 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 		if err != nil {
 			return err
 		}
-		u.ops = append(u.ops, cop{kind: cColl, name: s.name, mask: mask, tag: tag, root: root, pos: s.pos})
+		u.ops = append(u.ops, cop{kind: cColl, name: s.name, mask: mask, tag: tag, root: root, pos: pos})
 	}
 	return nil
 }
@@ -343,15 +374,21 @@ type message struct {
 
 // boundedCheck instantiates and executes proto on every cube size up
 // to maxDim and returns the first violation found, smallest cube
-// first — the minimal counterexample. A nil result means every
-// checkable instantiation ran to completion with drained links.
-func boundedCheck(proto *protocol) *verdict {
+// first — the minimal counterexample. checked reports whether the
+// check was conclusive: an open protocol (one with integer parameters,
+// checked only where a caller inlines it), an instantiation that fails
+// to evaluate or blows a budget, or a protocol that fits no checked
+// cube proves nothing. A nil verdict with checked set means every
+// checkable instantiation ran to completion with drained links and
+// symmetric spans.
+func boundedCheck(proto *protocol) (v *verdict, checked bool) {
 	if len(proto.params) != 0 {
-		return nil // open protocol: checked at its call sites, inlined
+		return nil, false
 	}
 	for d := int64(1); d <= maxDim; d++ {
 		n := 1 << uint(d)
 		perProc := make([][]cop, n)
+		spans := make([][]spanEvent, n)
 		skip := false
 		for id := 0; id < n && !skip; id++ {
 			u := &unroller{id: int64(id), d: d}
@@ -360,25 +397,58 @@ func boundedCheck(proto *protocol) *verdict {
 			case err == errSkipDim:
 				skip = true
 			case err != nil:
-				return nil // unverifiable: stay silent
+				return nil, false
 			case u.bad != nil:
-				return u.bad
+				return u.bad, true
 			default:
-				perProc[id] = u.ops
+				perProc[id], spans[id] = u.ops, u.spans
 			}
 		}
 		if skip {
 			continue
 		}
-		if v := simulate(int(d), perProc); v != nil {
-			return v
+		v, ok := simulate(int(d), perProc)
+		if !ok {
+			return nil, false
+		}
+		if v == nil {
+			v = spanSkew(int(d), spans)
+		}
+		if v != nil {
+			return v, true
+		}
+		checked = true
+	}
+	return nil, checked
+}
+
+// spanSkew compares every processor's span sequence with p0's and
+// reports the first boundary one of them executes and the other does
+// not.
+func spanSkew(d int, spans [][]spanEvent) *verdict {
+	for q := 1; q < len(spans); q++ {
+		a, b := spans[0], spans[q]
+		for i := 0; i < len(a) || i < len(b); i++ {
+			if i < len(a) && i < len(b) && a[i] == b[i] {
+				continue
+			}
+			runs, skips, ev := 0, q, spanEvent{}
+			if i < len(a) {
+				ev = a[i]
+			} else {
+				runs, skips, ev = q, 0, b[i]
+			}
+			return &verdict{pos: ev.pos, msg: fmt.Sprintf(
+				"%s is not run by every processor on the d=%d cube: p%d runs it at span boundary %d, p%d does not — all processors must open and close the same spans in the same order",
+				ev.name, d, runs, i, skips)}
 		}
 	}
 	return nil
 }
 
-// simulate runs the canonical round-based schedule on the d-cube.
-func simulate(d int, perProc [][]cop) *verdict {
+// simulate runs the canonical round-based schedule on the d-cube; ok
+// is false when the step budget runs out before a verdict.
+func simulate(d int, perProc [][]cop) (v *verdict, ok bool) {
 	n := 1 << uint(d)
 	pc := make([]int, n)
 	queues := make([][]message, n*d)
@@ -410,7 +480,7 @@ func simulate(d int, perProc [][]cop) *verdict {
 				if q[0].tag != op.tag {
 					return &verdict{pos: op.pos, msg: fmt.Sprintf(
 						"tag mismatch on the d=%d cube: p%d Recv(dim=%d) expects tag %d but the message from p%d carries tag %d (the runtime panics here)",
-						d, id, op.dim, op.tag, q[0].src, q[0].tag)}
+						d, id, op.dim, op.tag, q[0].src, q[0].tag)}, true
 				}
 				queues[id*d+int(op.dim)] = q[1:]
 				pc[id]++
@@ -457,7 +527,7 @@ func simulate(d int, perProc [][]cop) *verdict {
 			}
 		}
 		if len(blocked) > 0 {
-			return deadlockVerdict(d, step, blocked, pc, perProc, queues, schedule)
+			return deadlockVerdict(d, step, blocked, pc, perProc, queues, schedule), true
 		}
 		// Everyone completed: leftover queued messages were never received.
 		for dst := 0; dst < n; dst++ {
@@ -465,13 +535,13 @@ func simulate(d int, perProc [][]cop) *verdict {
 				if q := queues[dst*d+dim]; len(q) > 0 {
 					return &verdict{pos: q[0].pos, msg: fmt.Sprintf(
 						"Send(dim=%d, tag=%d) from p%d is never received by p%d on the d=%d cube: all processors ran to completion with the message still queued",
-						dim, q[0].tag, q[0].src, dst, d)}
+						dim, q[0].tag, q[0].src, dst, d)}, true
 				}
 			}
 		}
-		return nil
+		return nil, true
 	}
-	return nil // step budget blown: treat as unverifiable
+	return nil, false // step budget blown: inconclusive
 }
 
 // collReady reports whether the collective op that proc id is parked

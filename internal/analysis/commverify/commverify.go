@@ -1,29 +1,46 @@
-// Package commverify proves deadlock-freedom of SPMD communication
-// protocols by bounded model checking.
+// Package commverify is the SPMD-protocol checker: it decides whether
+// every processor of a (sub)cube agrees on each exchange's dimension,
+// tag and subcube, the property the runtime watchdog only reports
+// after the deadlock has happened. It judges each SPMD scope — a
+// function body, or a function literal such as the closure handed to
+// Machine.Run — in one of two tiers, never both.
 //
-// collorder checks that every processor executes the same *collective*
-// sequence; nothing there speaks about point-to-point Send/Recv
-// pairing, the bug class the runtime watchdog only reports after the
-// deadlock has happened. commverify is the static twin of that
-// post-mortem: it lowers each SPMD scope to a small protocol IR —
-// communication ops whose dimension/tag/mask arguments are integer
-// expressions over p.ID(), p.Dim(), loop variables and inlined call
-// arguments — then instantiates all 2^d processor identities for
-// every cube dimension d ≤ 4 and executes the per-proc automata
-// against each other under the runtime's own semantics. Unreceived
-// sends, tag mismatches, statically certain ExchangeAll panics, and
-// cyclically blocked states become diagnostics carrying a minimal
-// counterexample schedule (which procs, which ops, which VT step).
+// Bounded model checking comes first. The scope is lowered to a small
+// protocol IR — communication ops whose dimension/tag/mask arguments
+// are integer expressions over p.ID(), p.Dim(), loop variables and
+// inlined call arguments — then instantiated for all 2^d processor
+// identities on every cube dimension d ≤ 4, and the per-proc automata
+// are executed against each other under the runtime's own semantics.
+// Unreceived sends, tag mismatches, statically certain ExchangeAll
+// panics, and cyclically blocked states become diagnostics carrying a
+// minimal counterexample schedule (which procs, which ops, which VT
+// step). Point-to-point queues on a hypercube are single-producer, so
+// the protocol system is confluent and one canonical schedule decides
+// whether completion is reachable: a scope the extractor concretizes
+// is genuinely proven (for the checked cube sizes), and a finding is a
+// real property of the extracted protocol. Rank-asymmetric protocols
+// that pair up — binomial trees, guarded subcubes, one-hop relays —
+// are proven clean rather than flagged for their asymmetry.
 //
-// The checker is deliberately one-sided. Scopes it can fully
-// concretize are genuinely proven (for the checked cube sizes):
-// point-to-point queues on a hypercube are single-producer, so the
-// protocol system is confluent and one canonical schedule decides
-// whether completion is reachable. Scopes it cannot concretize —
-// dynamic tags from NextTag, data-dependent branches, unmodeled
-// control flow — are skipped silently rather than guessed at. A
-// finding is therefore always a real property of the extracted
-// protocol, never a "could not verify" shrug.
+// Span boundaries are part of the protocol: every processor must open
+// and close the same spans in the same order, and a model-checked
+// scope whose processors disagree on that sequence is reported.
+//
+// Scopes the model checker cannot decide fall to the taint tier
+// (fallback.go): those the extractor cannot concretize — dynamic tags
+// from NextTag, data-dependent branches, opaque callees, identity
+// laundered through helpers — and open protocols, whose integer
+// parameters are bound only where a caller inlines them. There a
+// collective or span boundary, or an early return skipping one, under
+// an identity-dependent condition, or an identity-derived dimension,
+// mask, tag or root argument, is reported. Both tiers draw on the
+// collectives analyzer's identity and collective summaries, facts
+// included.
+//
+// The scope is the packages above the collective layer (core, apps,
+// bench) and the top-level facade/example/command code. The
+// collective and hypercube internals are exempt: a binomial-tree
+// broadcast is nothing but rank-dependent sends and receives.
 //
 // Exported protocol summaries travel between packages as package
 // facts, so a wrapper in one package and its caller in another are
@@ -45,7 +62,7 @@ import (
 // Analyzer is the commverify entry point.
 var Analyzer = &framework.Analyzer{
 	Name:      "commverify",
-	Doc:       "bounded model-check SPMD point-to-point protocols for deadlocks, unmatched sends and tag mismatches",
+	Doc:       "check SPMD protocol agreement: bounded model check of concretizable scopes, identity-taint rules for the rest",
 	Requires:  []*framework.Analyzer{collectives.Analyzer},
 	FactTypes: []framework.Fact{(*Fact)(nil)},
 	Run:       run,
@@ -85,10 +102,10 @@ func run(pass *framework.Pass) (any, error) {
 	}
 
 	reported := make(map[token.Pos]bool)
-	report := func(v *verdict) {
-		if v != nil && !reported[v.pos] {
-			reported[v.pos] = true
-			pass.Reportf(v.pos, "%s", v.msg)
+	report := func(pos token.Pos, format string, args ...any) {
+		if !reported[pos] {
+			reported[pos] = true
+			pass.Reportf(pos, format, args...)
 		}
 	}
 
@@ -101,28 +118,43 @@ func run(pass *framework.Pass) (any, error) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			// The declaration itself (functions go through the memoized
-			// summary so local inlining is shared; methods are lowered
-			// directly).
-			var proto *protocol
-			if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok && fn.Recv == nil {
-				if e := x.protocolOf(obj); e.proto != nil {
-					proto = e.proto
+			fb := &fallback{pass: pass, summary: summary, cfg: summary.TaintConfig(), report: report}
+			// judge hands a scope to the model checker when it lowered
+			// cleanly, and to the taint fallback when it did not or the
+			// check was inconclusive (an open protocol among them).
+			judge := func(proto *protocol, ok bool, body *ast.BlockStmt) {
+				if ok {
+					if proto == nil || !proto.comm {
+						return // lowered cleanly, nothing to agree on
+					}
+					if v, checked := boundedCheck(proto); checked {
+						if v != nil {
+							report(v.pos, "%s", v.msg)
+						}
+						return
+					}
 				}
-			} else if p, err := x.extractFunc(fn.Type, fn.Body); err == nil {
-				proto = p
+				if fb.tainted == nil {
+					fb.tainted = fb.cfg.Objects(fn)
+				}
+				fb.check(body)
 			}
-			if proto != nil && proto.comm {
-				report(boundedCheck(proto))
+			// The declaration itself: functions go through the memoized
+			// summary so local inlining is shared (a nil protocol that
+			// is not opaque lowered cleanly but communicates nothing);
+			// methods are lowered directly.
+			if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok && fn.Recv == nil {
+				e := x.protocolOf(obj)
+				judge(e.proto, !e.opaque, fn.Body)
+			} else {
+				p, err := x.extractFunc(fn.Type, fn.Body)
+				judge(p, err == nil, fn.Body)
 			}
 			// Every function literal underneath is its own SPMD scope.
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				lit, ok := n.(*ast.FuncLit)
-				if !ok {
-					return true
-				}
-				if p, err := x.extractFunc(lit.Type, lit.Body); err == nil && p.comm {
-					report(boundedCheck(p))
+				if lit, ok := n.(*ast.FuncLit); ok {
+					p, err := x.extractFunc(lit.Type, lit.Body)
+					judge(p, err == nil, lit.Body)
 				}
 				return true
 			})

@@ -15,9 +15,10 @@ import (
 // Extraction: lower one SPMD scope (a function declaration or
 // function literal) to the protocol IR. The lowering is deliberately
 // partial — anything it cannot model exactly makes the scope
-// unverifiable, and unverifiable scopes are skipped silently. That is
-// the analyzer's soundness boundary: commverify only speaks about
-// protocols it can concretize, and never guesses.
+// unverifiable, and unverifiable scopes go to the taint fallback
+// instead of the model checker. That is the model checker's soundness
+// boundary: it only speaks about protocols the extractor concretizes,
+// and never guesses.
 
 // p2pMethods are the point-to-point Proc operations the checker
 // models as queue operations.
@@ -25,22 +26,24 @@ var p2pMethods = []string{"Send", "Recv", "Exchange", "ExchangeAll"}
 
 // pureProcMethods are the Proc methods that neither communicate nor
 // block: identity/geometry reads, buffer-pool traffic, cost charging,
-// and the profiler/flight-recorder surface (spans, conformance
+// and the profiler/flight-recorder surface (span notes, conformance
 // predictions, critical-path capture). They are invisible to the
-// protocol.
+// protocol. BeginSpan and EndSpan are not among them: every processor
+// must open and close the same spans in the same order, so span
+// boundaries are protocol operations (opSpan).
 var pureProcMethods = map[string]bool{
 	"ID": true, "Dim": true, "P": true, "FullMask": true, "Neighbor": true,
 	"GetBuf": true, "Recycle": true, "Capture": true, "Compute": true,
 	"AdvanceTo": true, "Clock": true, "Params": true, "Profiling": true,
-	"BeginSpan": true, "EndSpan": true, "SpanNote": true, "SpanPredict": true,
+	"SpanNote": true, "SpanPredict": true,
 	"NoteCollective": true, "RouteCharge": true, "RoutePhaseCharge": true,
 }
 
 // pureEnvMethods are the core.Env methods with the same status (the
-// span/conformance forwarding surface plus the local accessors vmlib
-// already exempts from the collective contract).
+// span-note/conformance forwarding surface plus the local accessors
+// vmlib already exempts from the collective contract).
 var pureEnvMethods = map[string]bool{
-	"BeginSpan": true, "EndSpan": true, "SpanNote": true, "SpanPredict": true,
+	"SpanNote": true, "SpanPredict": true,
 	"NextTag": true, "NextTag2": true, "Profiling": true,
 	"GridRow": true, "GridCol": true,
 }
@@ -302,11 +305,11 @@ func inModule(path string) bool {
 	return path == vmlib.FacadePath || vmlib.InScope(path, vmlib.FacadePath)
 }
 
-// mayComm conservatively reports whether n can perform a blocking
-// communication op, without descending into nested function literals
-// (each literal is its own SPMD scope). Unresolvable calls count as
-// communication: the checker must never treat a send or receive as
-// absent.
+// mayComm conservatively reports whether n can perform a protocol
+// operation — a communication op or a span boundary — without
+// descending into nested function literals (each literal is its own
+// SPMD scope). Unresolvable calls count as communication: the checker
+// must never treat a send, a receive or a span as absent.
 func (x *extractor) mayComm(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -324,7 +327,8 @@ func (x *extractor) mayComm(n ast.Node) bool {
 			return true
 		}
 		info := x.pass.TypesInfo
-		if vmlib.IsProcMethod(info, call, p2pMethods...) ||
+		if _, span := vmlib.IsSpanCall(info, call); span ||
+			vmlib.IsProcMethod(info, call, p2pMethods...) ||
 			vmlib.IsProcMethod(info, call, "Barrier") ||
 			x.summary.IsCollectiveCall(call) {
 			found = true
@@ -459,6 +463,12 @@ func (x *extractor) extractStmt(s ast.Stmt, ev env) ([]stmt, error) {
 		return nil, errUnverifiable
 
 	case *ast.DeferStmt:
+		// A deferred span close (the idiomatic defer e.EndSpan()) runs
+		// on every exit of every processor: symmetric by construction,
+		// so it stays out of the span sequence.
+		if _, span := vmlib.IsSpanCall(x.pass.TypesInfo, s.Call); span {
+			return nil, nil
+		}
 		if x.mayComm(s.Call) {
 			return nil, errUnverifiable
 		}
@@ -480,10 +490,11 @@ func (x *extractor) extractStmt(s ast.Stmt, ev env) ([]stmt, error) {
 }
 
 // fallback handles any construct the IR does not model: fine when it
-// cannot communicate (its variable writes are just forgotten),
-// unverifiable when it can.
+// neither communicates nor returns (its variable writes are just
+// forgotten), unverifiable otherwise — a return under an unmodeled
+// branch may skip the communication after it on some processors only.
 func (x *extractor) fallback(s ast.Stmt, ev env) ([]stmt, error) {
-	if x.mayComm(s) {
+	if x.mayComm(s) || hasReturn(s) {
 		return nil, errUnverifiable
 	}
 	x.poisonAssigned(s, ev)
@@ -512,6 +523,13 @@ func (x *extractor) extractCall(call *ast.CallExpr, ev env) ([]stmt, error) {
 	// Point-to-point Proc operations.
 	if vmlib.IsProcMethod(info, call, p2pMethods...) {
 		return x.extractP2P(call, ev)
+	}
+	if begin, ok := vmlib.IsSpanCall(info, call); ok {
+		name := "EndSpan"
+		if begin {
+			name = "BeginSpan"
+		}
+		return []stmt{&opStmt{kind: opSpan, name: name, pos: call.Pos()}}, nil
 	}
 	if vmlib.IsProcMethod(info, call, "Barrier") && len(call.Args) == 2 {
 		mask := x.exprOf(call.Args[0], ev)
@@ -1005,6 +1023,22 @@ func hasFallthrough(body []ast.Stmt) bool {
 		}
 	}
 	return false
+}
+
+// hasReturn reports a return statement under n, ignoring function
+// literals.
+func hasReturn(n ast.Node) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // hasBranch reports any break/continue/goto anywhere under n (nested

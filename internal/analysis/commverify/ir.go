@@ -71,12 +71,8 @@ const (
 	opExchange    // Send then Recv on the same dim/tag
 	opExchangeAll // sends on every listed dim, then receives in order
 	opColl        // named collective over a subcube mask
+	opSpan        // BeginSpan/EndSpan (name): a profiling span boundary
 )
-
-var opNames = map[opKind]string{
-	opSend: "Send", opRecv: "Recv", opExchange: "Exchange",
-	opExchangeAll: "ExchangeAll", opColl: "collective",
-}
 
 // stmt is one statement of the protocol IR.
 type stmt interface{ isStmt() }
@@ -84,7 +80,7 @@ type stmt interface{ isStmt() }
 // opStmt is one communication operation.
 type opStmt struct {
 	kind opKind
-	name string // collective name for opColl (Barrier, Bcast, …)
+	name string // opColl: collective name (Barrier, Bcast, …); opSpan: BeginSpan or EndSpan
 	pos  token.Pos
 	dim  *expr   // Send/Recv/Exchange
 	tag  *expr   // every op
@@ -134,7 +130,7 @@ func (*callStmt) isStmt() {}
 type protocol struct {
 	params []string
 	body   []stmt
-	comm   bool // contains at least one communication op
+	comm   bool // contains at least one operation (communication or span)
 	p2p    bool // contains at least one point-to-point op
 }
 
@@ -158,7 +154,7 @@ func scan(body []stmt) (comm, p2p bool) {
 		switch s := s.(type) {
 		case *opStmt:
 			c = true
-			p = s.kind != opColl
+			p = s.kind != opColl && s.kind != opSpan
 		case *ifStmt:
 			c1, p1 := scan(s.then)
 			c2, p2 := scan(s.els)

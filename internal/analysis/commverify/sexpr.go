@@ -55,6 +55,8 @@ func marshalStmt(b *strings.Builder, s stmt) {
 			b.WriteString(") ")
 			marshalExpr(b, s.tag)
 			b.WriteByte(')')
+		case opSpan:
+			fmt.Fprintf(b, "(span %s)", s.name)
 		case opColl:
 			fmt.Fprintf(b, "(coll %s ", s.name)
 			marshalExpr(b, s.mask)
@@ -270,6 +272,11 @@ func stmtFromSexpr(n *sexpr, pos token.Pos) (stmt, error) {
 			return nil, bad
 		}
 		return op, nil
+	case "span":
+		if len(n.list) != 2 || (n.list[1].atom != "BeginSpan" && n.list[1].atom != "EndSpan") {
+			return nil, bad
+		}
+		return &opStmt{kind: opSpan, name: n.list[1].atom, pos: pos}, nil
 	case "coll":
 		if len(n.list) != 5 || n.list[1].atom == "" {
 			return nil, bad

@@ -63,7 +63,7 @@ type Analyzer struct {
 
 // A Fact is a serializable per-package summary produced by one
 // analyzer while analyzing a package and consumed when analyzing its
-// importers — the mechanism that carries spmdsym's identity-taint
+// importers — the mechanism that carries the collectives identity-taint
 // summaries and recyclecheck's ownership summaries across package
 // boundaries. Concrete fact types must be pointers to gob-encodable
 // structs, and a zero-valued fact must be distinguishable from an

@@ -46,8 +46,9 @@ type RunResult struct {
 // surviving findings sorted by position together with the suppression
 // audit. Only findings from the requested analyzers are reported;
 // required-but-unrequested analyzers run for their results and facts
-// alone. Malformed directives (missing analyzer or reason) and stale
-// directives (suppressing nothing) are reported as findings of the
+// alone. Malformed directives (missing analyzer or reason), stale
+// directives (suppressing nothing) and directives naming an analyzer
+// outside the requested set are reported as findings of the
 // pseudo-analyzer "directive" so they fail the lint gate.
 //
 // Packages are processed in dependency order so that package facts
@@ -131,26 +132,31 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 		}
 		// Suppression audit: a directive that suppressed nothing is
 		// dead weight (the exception it documented is gone) and is
-		// itself reported, with a fix that deletes it. Directives
-		// naming analyzers outside this run's set cannot be judged and
-		// are skipped, as are facts-only packages.
+		// itself reported, with a fix that deletes it. A directive
+		// naming an analyzer outside the run set is reported the same
+		// way: the set is the driver's roster, so the name belongs to
+		// a deleted or misspelled analyzer and would otherwise pass
+		// unjudged forever. Facts-only packages are not audited.
 		for _, dir := range dirs {
-			auditable := dir.analyzer == "all" || requested[dir.analyzer]
-			if !pkg.FactsOnly {
-				res.Suppressions = append(res.Suppressions, Suppression{
-					File: dir.file, Line: dir.line,
-					Analyzer: dir.analyzer, Reason: dir.reason,
-					Used: dir.used || !auditable,
-				})
-			}
-			if pkg.FactsOnly || dir.used || !auditable {
+			if pkg.FactsOnly {
 				continue
+			}
+			res.Suppressions = append(res.Suppressions, Suppression{
+				File: dir.file, Line: dir.line,
+				Analyzer: dir.analyzer, Reason: dir.reason,
+				Used: dir.used,
+			})
+			if dir.used {
+				continue
+			}
+			msg := fmt.Sprintf("//lint:allow %s directive suppresses no diagnostic; remove it", dir.analyzer)
+			if dir.analyzer != "all" && !requested[dir.analyzer] {
+				msg = fmt.Sprintf("//lint:allow %s names no analyzer in this run; remove it", dir.analyzer)
 			}
 			res.Findings = append(res.Findings, Finding{
 				Analyzer: "directive",
 				Pos:      pkg.Fset.Position(dir.pos),
-				Message: fmt.Sprintf("//lint:allow %s directive suppresses no diagnostic; remove it",
-					dir.analyzer),
+				Message:  msg,
 				Fixes: []SuggestedFix{{
 					Message:   "delete the stale directive",
 					TextEdits: []TextEdit{{Pos: dir.pos, End: dir.end, NewText: nil}},

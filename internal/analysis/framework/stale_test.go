@@ -71,3 +71,41 @@ func TestStaleSuppressionAudit(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownAnalyzerDirective: a //lint:allow directive naming an
+// analyzer outside the run set (a deleted or misspelled one) is not
+// passed unjudged: it is audited unused and reported as a "directive"
+// finding whose fix deletes the whole line.
+func TestUnknownAnalyzerDirective(t *testing.T) {
+	testdata := filepath.Join("..", "testdata")
+	res, fset := analysistest.Result(t, testdata, recyclecheck.Analyzer,
+		"vmprim/internal/apps/unknowndir", true)
+
+	if len(res.Findings) != 1 {
+		t.Fatalf("want exactly the unknown-analyzer finding, got %v", res.Findings)
+	}
+	fd := res.Findings[0]
+	if fd.Analyzer != "directive" || !strings.Contains(fd.Message, "collorder names no analyzer in this run") {
+		t.Errorf("unexpected finding: %s", fd)
+	}
+	if len(res.Suppressions) != 1 || res.Suppressions[0].Used {
+		t.Errorf("unknown-analyzer directive should be audited unused: %+v", res.Suppressions)
+	}
+
+	fixed, err := framework.ApplyFixes(fset, res.Findings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixed) != 1 {
+		t.Fatalf("want one fixed file, got %d", len(fixed))
+	}
+	for file, got := range fixed {
+		want, err := os.ReadFile(file + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("deleting the directive diverges from golden:\n%s", framework.Diff(file, want, got))
+		}
+	}
+}

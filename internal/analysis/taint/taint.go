@@ -1,7 +1,7 @@
-// Package taint is the shared identity-taint engine of the SPMD
-// analyzers (spmdsym, collorder, collectives): it decides which local
-// variables and expressions of a function derive from processor
-// identity.
+// Package taint is the identity-taint engine of the SPMD checker
+// (commverify's fallback tier and the collectives summaries it reads):
+// it decides which local variables and expressions of a function
+// derive from processor identity.
 //
 // The model is deliberately simple and shared so the analyzers agree
 // on what "identity-derived" means:

@@ -21,10 +21,8 @@ func Balanced(e *vmprim.Env) float64 {
 	return vmprim.MatVecKernel(e)
 }
 
-// RingByRank feeds a rank-derived tag into a facade helper; this is
-// collorder territory and must stay clean under spmdsym, so no want
-// comment — the collorder test covers the same package path shape in
-// its own fixture.
-func RingByRank(p *vmprim.Proc, data []float64) []float64 {
+// UniformRing is fine: every processor calls the facade helper with
+// the same constant tag.
+func UniformRing(p *vmprim.Proc, data []float64) []float64 {
 	return vmprim.Ring(p, 4, data)
 }

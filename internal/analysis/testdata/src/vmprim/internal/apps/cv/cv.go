@@ -50,7 +50,7 @@ func HolderSubcube(p *hypercube.Proc) {
 }
 
 // Relay is deliberately rank-asymmetric: only proc 0 sends and only
-// proc 1 receives. collorder-style sequence comparison would flag the
+// proc 1 receives. A sequence comparison of the two arms would flag the
 // asymmetry; the model checker proves the pairing sound. Clean.
 func Relay(p *hypercube.Proc) {
 	if p.ID() == 0 {

@@ -1,4 +1,9 @@
-// Fixtures for the spmdsym analyzer.
+// Fixtures for commverify's two tiers on collectives and spans under
+// identity-dependent control. Scopes over p.ID() concretize and the
+// bounded model check reports them with a counterexample; scopes over
+// the grid coordinates, bool flags, collective results or a dynamic
+// runner do not, nor do open protocols with integer parameters, and
+// the taint fallback judges those.
 package spmd
 
 import (
@@ -11,7 +16,16 @@ import (
 // collective, the rest skip it.
 func rootOnlyBcast(p *hypercube.Proc, data []float64) {
 	if p.ID() == 0 {
-		collective.Bcast(p, 1, 1, 0, data) // want `Bcast is control-dependent on processor identity`
+		collective.Bcast(p, 1, 1, 0, data) // want `protocol deadlocks on the d=1 cube: 1/2 procs blocked at VT step 0 — p0 at Bcast`
+	}
+}
+
+// rootOnlySized is rootOnlyBcast with an integer parameter. The open
+// protocol is model-checked only where a caller inlines it, so the
+// declaration itself goes to the taint fallback.
+func rootOnlySized(p *hypercube.Proc, n int, data []float64) {
+	if p.ID() == 0 {
+		collective.Bcast(p, 1, 1, 0, data[:n]) // want `Bcast is control-dependent on processor identity`
 	}
 }
 
@@ -33,10 +47,10 @@ func helper(p *hypercube.Proc, data []float64) {
 }
 
 // hiddenInHelper launders the collective through the helper; the
-// interprocedural summary still flags the guarded call.
+// helper's protocol is inlined, and the finding anchors at the call.
 func hiddenInHelper(p *hypercube.Proc, data []float64) {
 	if p.ID() != 0 {
-		helper(p, data) // want `helper is control-dependent on processor identity`
+		helper(p, data) // want `protocol deadlocks on the d=1 cube: 1/2 procs blocked at VT step 0 — p1 at AllGather`
 	}
 }
 
@@ -44,7 +58,7 @@ func hiddenInHelper(p *hypercube.Proc, data []float64) {
 func taintedVar(p *hypercube.Proc) {
 	root := p.ID() == 0
 	if root {
-		p.Barrier(1, 1) // want `Barrier is control-dependent on processor identity`
+		p.Barrier(1, 1) // want `protocol deadlocks on the d=1 cube: 1/2 procs blocked at VT step 0 — p0 at Barrier`
 	}
 }
 
@@ -100,7 +114,7 @@ func hostCode(run func(func(p *hypercube.Proc)) error, data []float64) error {
 func closureGuarded(run func(func(p *hypercube.Proc)), data []float64) {
 	run(func(p *hypercube.Proc) {
 		if p.ID() == 0 {
-			collective.Bcast(p, 1, 1, 0, data) // want `Bcast is control-dependent on processor identity`
+			collective.Bcast(p, 1, 1, 0, data) // want `protocol deadlocks on the d=1 cube: 1/2 procs blocked at VT step 0 — p0 at Bcast`
 		}
 	})
 }
@@ -117,12 +131,60 @@ func switchGuards(e *core.Env, replicate bool) {
 	}
 }
 
-// subcube documents a deliberate holder-only collective with a
-// suppression directive.
+// subcube looks like a holder-only collective, but mask 1 pairs p0
+// with p1, which never arrives.
 func subcube(p *hypercube.Proc, data []float64) {
 	if p.ID() == 0 {
-		//lint:allow spmdsym the gather below spans the root subcube only, which the other ranks are not part of
-		got := collective.AllGather(p, 1, 1, data)
+		got := collective.AllGather(p, 1, 1, data) // want `protocol deadlocks on the d=1 cube: 1/2 procs blocked at VT step 0 — p0 at AllGather`
 		p.Recycle(got)
+	}
+}
+
+// holderGather documents a deliberate holder-only collective with a
+// suppression directive, in the shape of core.ScanVec: the tag comes
+// from NextTag, so the scope is beyond the model checker, and the
+// directive silences the taint fallback's early-return finding.
+func holderGather(e *core.Env, data []float64) {
+	tag := e.NextTag()
+	if e.GridRow() != 0 {
+		//lint:allow commverify the gather below spans the holder row's subcube only, which the other rows are not part of
+		return
+	}
+	got := collective.AllGather(e.P, 1, tag, data)
+	e.P.Recycle(got)
+}
+
+// guardedSpan opens a span on rank 0 only. Nothing blocks, but the
+// processors' span trees diverge, which breaks the SPMD span contract.
+func guardedSpan(p *hypercube.Proc) {
+	if p.ID() == 0 {
+		p.BeginSpan("x") // want `BeginSpan is not run by every processor on the d=1 cube: p0 runs it at span boundary 0, p1 does not`
+		p.EndSpan()
+	}
+}
+
+// phase communicates nothing, but its span makes it part of the
+// protocol of every caller.
+func phase(p *hypercube.Proc) {
+	p.BeginSpan("phase")
+	p.EndSpan()
+}
+
+// spanSkipped: odd ranks return before the phase the others open.
+func spanSkipped(p *hypercube.Proc) {
+	if p.ID()&1 == 1 {
+		return
+	}
+	phase(p) // want `BeginSpan is not run by every processor on the d=1 cube: p0 runs it at span boundary 0, p1 does not`
+}
+
+// spanUniform is symmetric: the guard reads the cube dimension, which
+// every processor shares, and the deferred close runs on every exit.
+func spanUniform(p *hypercube.Proc) {
+	p.BeginSpan("op")
+	defer p.EndSpan()
+	if p.Dim() > 2 {
+		p.BeginSpan("big")
+		p.EndSpan()
 	}
 }

@@ -1,7 +1,7 @@
-// Cross-package fixtures for spmdsym: both the taint source and the
-// collective arrive from vmprim/internal/other/xhelp via package
-// facts. The facts-off control run in the spmdsym test asserts these
-// diagnostics disappear without them.
+// Cross-package fixtures for commverify's taint fallback: both the
+// taint source and the collective arrive from
+// vmprim/internal/other/xhelp via package facts. The facts-off control
+// run asserts these diagnostics disappear without them.
 package spmdx
 
 import (

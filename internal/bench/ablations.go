@@ -26,23 +26,21 @@ func A1Ports() (*Table, error) {
 	for _, n := range []int{1, 16, 256, 4096} {
 		var times [2]costmodel.Time
 		for pi, allPorts := range []bool{false, true} {
-			m, err := hypercube.New(d, costmodel.CM2().WithAllPorts(allPorts))
-			if err != nil {
-				return nil, err
-			}
-			elapsed, err := m.Run(func(p *hypercube.Proc) {
-				dims := make([]int, d)
-				payloads := make([][]float64, d)
-				for i := range dims {
-					dims[i] = i
-					payloads[i] = make([]float64, n)
-				}
-				p.ExchangeAll(dims, 1, payloads)
+			err := withMachine(d, costmodel.CM2().WithAllPorts(allPorts), func(m *hypercube.Machine) (err error) {
+				times[pi], err = m.Run(func(p *hypercube.Proc) {
+					dims := make([]int, d)
+					payloads := make([][]float64, d)
+					for i := range dims {
+						dims[i] = i
+						payloads[i] = make([]float64, n)
+					}
+					p.ExchangeAll(dims, 1, payloads)
+				})
+				return err
 			})
 			if err != nil {
 				return nil, err
 			}
-			times[pi] = elapsed
 		}
 		t.AddRow(n, float64(times[0]), float64(times[1]), float64(times[0])/float64(times[1]))
 	}
@@ -63,36 +61,37 @@ func A2Broadcast() (*Table, error) {
 	}
 	mask := (1 << d) - 1
 	for _, tau := range []costmodel.Time{10, 100, 1000} {
-		params := costmodel.CM2().WithStartup(tau)
-		m, err := hypercube.New(d, params)
+		err := withMachine(d, costmodel.CM2().WithStartup(tau), func(m *hypercube.Machine) error {
+			for _, n := range []int{256, 1024, 4096, 16384} {
+				data := make([]float64, n)
+				var times [2]costmodel.Time
+				for ai, large := range []bool{false, true} {
+					elapsed, err := m.Run(func(p *hypercube.Proc) {
+						var src []float64
+						if p.ID() == 0 {
+							src = data
+						}
+						if large {
+							collective.BcastLarge(p, mask, 1, 0, src)
+						} else {
+							collective.Bcast(p, mask, 1, 0, src)
+						}
+					})
+					if err != nil {
+						return err
+					}
+					times[ai] = elapsed
+				}
+				winner := "binomial"
+				if times[1] < times[0] {
+					winner = "scatter/allgather"
+				}
+				t.AddRow(float64(tau), n, float64(times[0]), float64(times[1]), winner)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
-		}
-		for _, n := range []int{256, 1024, 4096, 16384} {
-			data := make([]float64, n)
-			var times [2]costmodel.Time
-			for ai, large := range []bool{false, true} {
-				elapsed, err := m.Run(func(p *hypercube.Proc) {
-					var src []float64
-					if p.ID() == 0 {
-						src = data
-					}
-					if large {
-						collective.BcastLarge(p, mask, 1, 0, src)
-					} else {
-						collective.Bcast(p, mask, 1, 0, src)
-					}
-				})
-				if err != nil {
-					return nil, err
-				}
-				times[ai] = elapsed
-			}
-			winner := "binomial"
-			if times[1] < times[0] {
-				winner = "scatter/allgather"
-			}
-			t.AddRow(float64(tau), n, float64(times[0]), float64(times[1]), winner)
 		}
 	}
 	return t, nil
@@ -108,6 +107,7 @@ func A3Cyclic() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "A3",
 		Title:   fmt.Sprintf("Gaussian elimination embeddings, p=%d (simulated us)", m.P()),
@@ -138,6 +138,7 @@ func A4AllPortBroadcast() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "A4",
 		Title:   fmt.Sprintf("all-port broadcast (d rotated trees) vs binomial, p=%d, all-port machine (simulated us)", m.P()),

@@ -20,6 +20,18 @@ func timedRun(m *hypercube.Machine, g embed.Grid, body func(e *core.Env)) (costm
 	return m.Run(func(p *hypercube.Proc) { body(core.NewEnv(p, g)) })
 }
 
+// withMachine runs f on a fresh machine and closes it afterwards, so a
+// sweep over machine configurations holds one machine's workers at a
+// time.
+func withMachine(d int, params costmodel.Params, f func(m *hypercube.Machine) error) error {
+	m, err := hypercube.New(d, params)
+	if err != nil {
+		return err
+	}
+	defer m.Close()
+	return f(m)
+}
+
 // E1Primitives times each of the four primitives on n x n matrices at
 // a fixed machine size (d=10, p=1024), the shape of the paper's
 // primitive-timing table.
@@ -29,6 +41,7 @@ func E1Primitives() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E1",
 		Title:   fmt.Sprintf("primitive timings, p=%d, CM2-like params (simulated us)", m.P()),
@@ -87,32 +100,34 @@ func E2Scaling() (*Table, error) {
 	serialReduce := params.FlopCost(n * n)
 	serialDist := params.FlopCost(n * n)
 	for _, d := range []int{2, 4, 6, 8, 10} {
-		m, err := hypercube.New(d, params)
+		err := withMachine(d, params, func(m *hypercube.Machine) error {
+			g := embed.SplitFor(d, n, n)
+			dm := RandMat(300+int64(d), n, n)
+			a, err := core.FromDense(g, dm, embed.Block, embed.Block)
+			if err != nil {
+				return err
+			}
+			xv, err := core.VectorFromSlice(g, RandVec(400, n), core.RowAligned, embed.Block, 0, false)
+			if err != nil {
+				return err
+			}
+			tReduce, err := timedRun(m, g, func(e *core.Env) { e.ReduceRows(a, core.OpSum, true) })
+			if err != nil {
+				return err
+			}
+			tDist, err := timedRun(m, g, func(e *core.Env) { e.SpreadRows(xv, n, embed.Block) })
+			if err != nil {
+				return err
+			}
+			p := float64(m.P())
+			t.AddRow(m.P(), n*n/m.P(),
+				float64(tReduce), p*float64(tReduce)/float64(serialReduce),
+				float64(tDist), p*float64(tDist)/float64(serialDist))
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		g := embed.SplitFor(d, n, n)
-		dm := RandMat(300+int64(d), n, n)
-		a, err := core.FromDense(g, dm, embed.Block, embed.Block)
-		if err != nil {
-			return nil, err
-		}
-		xv, err := core.VectorFromSlice(g, RandVec(400, n), core.RowAligned, embed.Block, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		tReduce, err := timedRun(m, g, func(e *core.Env) { e.ReduceRows(a, core.OpSum, true) })
-		if err != nil {
-			return nil, err
-		}
-		tDist, err := timedRun(m, g, func(e *core.Env) { e.SpreadRows(xv, n, embed.Block) })
-		if err != nil {
-			return nil, err
-		}
-		p := float64(m.P())
-		t.AddRow(m.P(), n*n/m.P(),
-			float64(tReduce), p*float64(tReduce)/float64(serialReduce),
-			float64(tDist), p*float64(tDist)/float64(serialDist))
 	}
 	return t, nil
 }
@@ -126,6 +141,7 @@ func E3Matvec() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E3",
 		Title:   fmt.Sprintf("y = x*A, p=%d: naive vs primitives (simulated us)", m.P()),
@@ -155,6 +171,7 @@ func E4Gauss() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E4",
 		Title:   fmt.Sprintf("Gaussian elimination Ax=b, p=%d (simulated us)", m.P()),
@@ -187,6 +204,7 @@ func E5Simplex() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E5",
 		Title:   fmt.Sprintf("dense simplex, p=%d (simulated us)", m.P()),

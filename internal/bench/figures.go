@@ -28,11 +28,11 @@ func F1Speedup() (*Table, error) {
 	x := RandVec(901, n)
 	var t1 costmodel.Time
 	for d := 0; d <= 8; d++ {
-		m, err := hypercube.New(d, costmodel.CM2())
-		if err != nil {
-			return nil, err
-		}
-		_, elapsed, _, err := apps.RunVecMat(m, a, x, apps.MatvecFused)
+		var elapsed costmodel.Time
+		err := withMachine(d, costmodel.CM2(), func(m *hypercube.Machine) (err error) {
+			_, elapsed, _, err = apps.RunVecMat(m, a, x, apps.MatvecFused)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -57,6 +57,7 @@ func F2Efficiency() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "F2",
 		Title:   fmt.Sprintf("Reduce(rows,+) work-efficiency vs grain, p=%d", m.P()),
@@ -95,6 +96,7 @@ func F3Embedding() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "F3",
 		Title:   fmt.Sprintf("embedding-change costs, p=%d (simulated us)", m.P()),

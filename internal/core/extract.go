@@ -108,7 +108,6 @@ func (e *Env) sendAlong(mask, fromRel, toRel int, data []float64) []float64 {
 			continue
 		}
 		next := cur ^ (1 << bit)
-		//lint:allow collorder hop-by-hop relay: cur and next are the two endpoints of one e-cube edge, so the Send and the Recv are the matched halves of a single transfer and the partners agree by construction of the route
 		switch myRel {
 		case cur:
 			e.P.Send(d, tag, buf)

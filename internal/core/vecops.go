@@ -101,11 +101,10 @@ func (e *Env) ScanVec(v *Vector, op Op) *Vector {
 	// early return, so holder and non-holder tag sequences stay
 	// synchronized for later collectives.
 	tag := e.NextTag()
-	//lint:allow collorder the early return is the non-holder exit: the holder subcube's collectives below exclude non-holders by mask, so the sequences never have to meet
 	if !v.HoldsData(pid) {
 		// Non-holders of a non-replicated aligned vector take no part:
 		// the subcube collective below spans exactly the holder rows.
-		//lint:allow spmdsym the AllGather below runs on the holder subcube only, which non-holders are not part of; the tag was reserved above to keep sequences aligned
+		//lint:allow commverify the AllGather below runs on the holder subcube only, which non-holders are not part of; the tag was reserved above to keep tag sequences aligned
 		return out
 	}
 	pv := out.L(pid)

@@ -42,8 +42,8 @@ go build ./...
 # drive; this sees every function the compiler does.
 ./scripts/allocgate.sh
 
-# vmlint: the repo's own analyzers (SPMD symmetry, span balance,
-# buffer ownership, determinism). Build the tool once, then lint
+# vmlint: the repo's own analyzers (SPMD protocol agreement, span
+# balance, buffer ownership, determinism, host concurrency). Build the tool once, then lint
 # before spending time on tests — a lint finding is file:line:col
 # actionable, a deadlocked test run is a 30s watchdog timeout.
 vmlint_bin=$(mktemp)
