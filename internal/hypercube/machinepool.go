@@ -10,7 +10,7 @@ import (
 // for serving layers that run many workloads against a small set of
 // machine shapes. Construction of a Machine is cheap but its steady
 // state is expensive to rebuild: the persistent worker goroutines,
-// per-processor buffer pools and link channels all warm up over the
+// per-processor buffer pools and link rings all warm up over the
 // first runs, so a pool hit hands the caller a machine whose pools are
 // already equilibrated. Acquire removes the machine from the pool (a
 // Machine is single-tenant: one Run at a time), Release returns it;

@@ -31,7 +31,7 @@ func TestLinkCapScalesWithDimension(t *testing.T) {
 
 func TestLinksEmptyAfterAbortedRun(t *testing.T) {
 	// Processor 0 posts messages nobody consumes and then panics; the
-	// post-run drain must leave every link channel empty.
+	// post-run drain must leave every link ring empty.
 	m := MustNew(3, costmodel.Ideal())
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
@@ -204,6 +204,24 @@ func TestPoolGetPutClasses(t *testing.T) {
 	}
 	bp.put(z)
 	bp.put(nil)
+}
+
+func TestPoolDepthBounded(t *testing.T) {
+	// Recycling far more buffers of one class than are ever drawn keeps
+	// only poolDepth of them; the rest go to the garbage collector.
+	var bp bufPool
+	for i := 0; i < 3*poolDepth; i++ {
+		bp.put(make([]float64, 64))
+	}
+	if n := len(bp.free[6]); n != poolDepth {
+		t.Fatalf("class 6 holds %d buffers, want %d", n, poolDepth)
+	}
+	for i := 0; i < poolDepth; i++ {
+		bp.get(64)
+	}
+	if bp.hits != poolDepth || len(bp.free[6]) != 0 {
+		t.Fatalf("hits %d, left %d; want %d, 0", bp.hits, len(bp.free[6]), poolDepth)
+	}
 }
 
 func TestCloseIdempotentAndFreshMachineStillRuns(t *testing.T) {

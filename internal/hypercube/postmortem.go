@@ -110,21 +110,18 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 	// Census-drain the links: every undelivered message becomes link
 	// occupancy in the report — the queue a blocked receiver never
 	// consumed, or the mate of a mismatched exchange.
-	for pid := range m.in {
-		for d, ch := range m.in[pid] {
+	var msg message
+	for pid := 0; pid < m.p; pid++ {
+		for d := 0; d < m.dim; d++ {
+			l := &m.links[pid*m.dim+d]
 			queued, words, headTag := 0, 0, 0
 			var headVT costmodel.Time
-			for drained := false; !drained; {
-				select {
-				case msg := <-ch:
-					if queued == 0 {
-						headTag, headVT = msg.tag, msg.arrive
-					}
-					queued++
-					words += len(msg.words)
-				default:
-					drained = true
+			for l.tryPop(&msg) {
+				if queued == 0 {
+					headTag, headVT = msg.tag, msg.arrive
 				}
+				queued++
+				words += len(msg.words)
 			}
 			if queued > 0 {
 				rep.Links = append(rep.Links, flightrec.LinkState{

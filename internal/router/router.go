@@ -41,10 +41,35 @@ type Msg struct {
 }
 
 // headerWords is the per-message encoding overhead on the wire. The
-// destination and payload length pack exactly into one float64
-// (dst*2^32 + len, both well under 2^26 and 2^32 respectively, so the
-// sum stays integral below 2^53); the key rides in the second word.
+// destination and payload length pack into one float64 (see header);
+// the key rides in the second word.
 const headerWords = 2
+
+// Header field bounds: dst*2^32 + len is an integer below 2^53, and so
+// exact in a float64, only while len < 2^32 and dst < 2^21.
+const (
+	maxHeaderLen = 1 << 32
+	maxHeaderDst = 1 << 21
+)
+
+// header packs a message's destination and payload length into one
+// exactly representable float64; it panics when a field is out of
+// range rather than silently rounding the packed value.
+func header(dst, n int) float64 {
+	if dst < 0 || dst >= maxHeaderDst {
+		panic(fmt.Sprintf("router: destination %d does not fit the wire header [0,2^21)", dst))
+	}
+	if uint64(n) >= maxHeaderLen {
+		panic(fmt.Sprintf("router: payload of %d words does not fit the wire header (max 2^32-1)", n))
+	}
+	return float64(uint64(dst)<<32 | uint64(n))
+}
+
+// unheader inverts header.
+func unheader(h float64) (dst, n int) {
+	dl := uint64(h)
+	return int(dl >> 32), int(dl & 0xffffffff)
+}
 
 // encode flattens messages for one link transfer.
 func encode(msgs []Msg) []float64 {
@@ -54,7 +79,7 @@ func encode(msgs []Msg) []float64 {
 	}
 	flat := make([]float64, 0, n)
 	for _, m := range msgs {
-		flat = append(flat, float64(uint64(m.Dst)<<32|uint64(len(m.Words))), float64(m.Key))
+		flat = append(flat, header(m.Dst, len(m.Words)), float64(m.Key))
 		flat = append(flat, m.Words...)
 	}
 	return flat
@@ -64,9 +89,7 @@ func encode(msgs []Msg) []float64 {
 func decode(flat []float64) []Msg {
 	var msgs []Msg
 	for i := 0; i < len(flat); {
-		dl := uint64(flat[i])
-		dst := int(dl >> 32)
-		n := int(dl & 0xffffffff)
+		dst, n := unheader(flat[i])
 		key := int(flat[i+1])
 		i += headerWords
 		words := make([]float64, n)

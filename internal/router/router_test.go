@@ -3,6 +3,7 @@ package router
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"vmprim/internal/costmodel"
@@ -227,5 +228,37 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if len(decode(nil)) != 0 {
 		t.Fatal("decode(nil) non-empty")
+	}
+}
+
+func TestHeaderBounds(t *testing.T) {
+	// The largest legal header is exact in a float64 and round-trips.
+	for _, c := range []struct{ dst, n int }{
+		{maxHeaderDst - 1, maxHeaderLen - 1},
+		{maxHeaderDst - 1, 0},
+		{0, maxHeaderLen - 1},
+	} {
+		if dst, n := unheader(header(c.dst, c.n)); dst != c.dst || n != c.n {
+			t.Errorf("header(%d, %d) decodes to (%d, %d)", c.dst, c.n, dst, n)
+		}
+	}
+	// An oversized field panics instead of rounding the packed value.
+	for _, c := range []struct {
+		dst, n int
+		want   string
+	}{
+		{maxHeaderDst, 0, "destination"},
+		{-1, 0, "destination"},
+		{0, maxHeaderLen, "payload"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, c.want) {
+					t.Errorf("header(%d, %d): recovered %v, want a %s panic", c.dst, c.n, r, c.want)
+				}
+			}()
+			header(c.dst, c.n)
+		}()
 	}
 }

@@ -74,10 +74,11 @@ func (s *Server) execute(run *Run) {
 	s.finishRun(run, res, runMetrics, pm, err)
 }
 
-// finishRun publishes the terminal state, folds the run's metrics into
-// the server-wide aggregate and applies retention to the backlog.
+// finishRun folds the run's metrics into the server-wide aggregate,
+// applies retention to the backlog and only then publishes the
+// terminal state: complete wakes /wait, and a client that sees the run
+// done must already find it counted and the backlog already trimmed.
 func (s *Server) finishRun(run *Run, res *bench.ProfileResult, runMetrics *metrics.Snapshot, pm *flightrec.Report, err error) {
-	run.complete(res, runMetrics, pm, err)
 	if err != nil {
 		s.met.runsFailed.Add(1)
 	} else {
@@ -94,4 +95,5 @@ func (s *Server) finishRun(run *Run, res *bench.ProfileResult, runMetrics *metri
 	if n := s.reg.markFinished(run.ID); n > 0 {
 		s.met.runsEvicted.Add(int64(n))
 	}
+	run.complete(res, runMetrics, pm, err)
 }

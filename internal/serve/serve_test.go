@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"vmprim/internal/bench"
 	"vmprim/internal/hypercube"
@@ -287,6 +288,64 @@ func TestRunRetentionEviction(t *testing.T) {
 	if len(list.Runs) != 2 {
 		t.Errorf("list shows %d runs after eviction, want 2", len(list.Runs))
 	}
+}
+
+// Retention and the finish counters are applied before /wait wakes: a
+// client that has just seen a run finish must find the backlog already
+// trimmed to the retention bound and the run already counted.
+func TestWaitSeesRetentionAndCounters(t *testing.T) {
+	const retain = 2
+	_, ts := newTestServer(t, Options{Workers: 1, RetainRuns: retain})
+	for i := 1; i <= retain+3; i++ {
+		submitAndWait(t, ts.URL, testSpec)
+
+		var list struct {
+			Runs []runStatusJSON `json:"runs"`
+		}
+		decodeBody(t, mustGet(t, ts.URL+"/runs", http.StatusOK), &list)
+		if len(list.Runs) > retain {
+			t.Fatalf("after run %d finished, /runs lists %d runs, want <= %d", i, len(list.Runs), retain)
+		}
+		scrape := string(getBody(t, ts.URL+"/metrics"))
+		if want := fmt.Sprintf("\nvmprimd_runs_done_total %d\n", i); !strings.Contains(scrape, want) {
+			t.Fatalf("after run %d finished, /metrics lacks %q", i, strings.TrimSpace(want))
+		}
+	}
+}
+
+// The same ordering without HTTP timing: while the registry is locked,
+// finishRun must not be able to wake waiters, because retention comes
+// first.
+func TestFinishRunAppliesRetentionBeforeWaking(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1, RetainRuns: 1})
+	old := s.reg.add(testSpec, time.Now())
+	s.finishRun(old, nil, nil, nil, nil)
+	run := s.reg.add(testSpec, time.Now())
+
+	s.reg.mu.Lock()
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		s.finishRun(run, nil, nil, nil, nil)
+	}()
+	select {
+	case <-run.done:
+		s.reg.mu.Unlock()
+		t.Fatal("waiters woke before retention was applied")
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.reg.mu.Unlock()
+	<-run.done
+	if retained, _ := s.reg.counts(); retained != 1 {
+		t.Errorf("woken waiter sees %d retained runs, want 1", retained)
+	}
+	if _, evicted := s.reg.get(old.ID); !evicted {
+		t.Errorf("run %s not evicted when the next run's waiters woke", old.ID)
+	}
+	if got := s.met.runsDone.Value(); got != 2 {
+		t.Errorf("runs_done = %d when waiters woke, want 2", got)
+	}
+	<-finished
 }
 
 // The events endpoint is a well-formed SSE stream: span events balance,

@@ -328,8 +328,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		s.closedMu.Unlock()
 	default:
 		s.closedMu.Unlock()
+		if n := s.reg.markFinished(run.ID); n > 0 {
+			s.met.runsEvicted.Add(int64(n))
+		}
 		run.complete(nil, nil, nil, errors.New("submission queue full"))
-		s.reg.markFinished(run.ID)
 		writeError(w, http.StatusServiceUnavailable, "queue_full",
 			fmt.Sprintf("submission queue is full (%d pending)", s.opts.QueueDepth))
 		return

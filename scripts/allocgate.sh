@@ -24,7 +24,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PKGS=(./internal/hypercube ./internal/collective ./internal/core ./internal/flightrec)
+PKGS=(./internal/hypercube ./internal/collective ./internal/core ./internal/flightrec ./internal/router)
 BASELINE=scripts/allocgate_baseline.txt
 
 # current prints "file count" per source file, sorted, for every

@@ -37,7 +37,8 @@ go build ./...
 
 # Static allocation gate: the compiler's escape analysis must not
 # report new heap escapes in the hot-path packages (hypercube,
-# collective, core, flightrec) relative to the committed baseline.
+# collective, core, flightrec, router) relative to the committed
+# baseline.
 # The dynamic AllocsPerRun guards only see the paths the benchmarks
 # drive; this sees every function the compiler does.
 ./scripts/allocgate.sh
