@@ -99,7 +99,7 @@ func TestVerdictMatrix(t *testing.T) {
 		"internal/apps/corder": {"DemoDeadlock", "TagByRank", "TagByRankSized", "HelperDim", "EarlyReturn",
 			"DimMismatch", "SwitchDiverge", "FanByRank", "FanVarByRank", "FanDiverge"},
 		"internal/apps/cv": {"CrossShift", "HolderWrongMask", "LostSend", "TagSkew",
-			"RecvFirst", "FanDup", "FanSkew", "RelaySkew"},
+			"RecvFirst", "FanDup", "FanSkew", "RelaySkew", "OwnedCross"},
 		"internal/apps/xuse": {"UseQuadrant", "GuardedSum"},
 		"internal/apps/spmd": {"rootOnlyBcast", "rootOnlySized", "hiddenInHelper", "taintedVar",
 			"earlyReturn", "closureGuarded", "switchGuards", "subcube", "guardedSpan", "spanSkipped"},
@@ -110,7 +110,8 @@ func TestVerdictMatrix(t *testing.T) {
 		"internal/apps/corder": {"SymmetricPayloads", "UniformChoice", "LoopFroth",
 			"FanUniform", "FanSymmetric", "OwnerSwitch"},
 		"internal/apps/cv": {"PipelinedShift", "TreeGather", "HolderSubcube", "Relay",
-			"FanAll", "BarrierThenShift", "edgeSend", "LocalInline", "RelayPair", "ScrambleUser"},
+			"FanAll", "BarrierThenShift", "edgeSend", "LocalInline", "RelayPair", "ScrambleUser",
+			"OwnedShift"},
 		"internal/apps/spmd": {"uniform", "helper", "safeEarlyReturn", "sanitized",
 			"hostCode", "holderGather", "phase", "spanUniform"},
 		"examples/exfix": {"Balanced", "UniformRing"},

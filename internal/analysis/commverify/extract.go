@@ -22,7 +22,7 @@ import (
 
 // p2pMethods are the point-to-point Proc operations the checker
 // models as queue operations.
-var p2pMethods = []string{"Send", "Recv", "Exchange", "ExchangeAll"}
+var p2pMethods = []string{"Send", "Recv", "Exchange", "ExchangeOwned", "ExchangeAll"}
 
 // pureProcMethods are the Proc methods that neither communicate nor
 // block: identity/geometry reads, buffer-pool traffic, cost charging,
@@ -596,7 +596,7 @@ func (x *extractor) extractCall(call *ast.CallExpr, ev env) ([]stmt, error) {
 	return nil, errUnverifiable
 }
 
-// extractP2P lowers Send/Recv/Exchange/ExchangeAll.
+// extractP2P lowers Send/Recv/Exchange/ExchangeOwned/ExchangeAll.
 func (x *extractor) extractP2P(call *ast.CallExpr, ev env) ([]stmt, error) {
 	f := vmlib.Callee(x.pass.TypesInfo, call)
 	op := &opStmt{pos: call.Pos()}
@@ -605,7 +605,7 @@ func (x *extractor) extractP2P(call *ast.CallExpr, ev env) ([]stmt, error) {
 		op.kind = opSend
 	case "Recv":
 		op.kind = opRecv
-	case "Exchange":
+	case "Exchange", "ExchangeOwned":
 		op.kind = opExchange
 	case "ExchangeAll":
 		op.kind = opExchangeAll

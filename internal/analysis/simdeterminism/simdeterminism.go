@@ -177,7 +177,7 @@ func checkMapRange(pass *framework.Pass, rng *ast.RangeStmt) {
 		if !ok {
 			return true
 		}
-		if vmlib.IsProcMethod(pass.TypesInfo, call, "Send", "Exchange", "ExchangeAll", "Barrier", "BeginSpan") ||
+		if vmlib.IsProcMethod(pass.TypesInfo, call, "Send", "Exchange", "ExchangeOwned", "ExchangeAll", "Barrier", "BeginSpan") ||
 			vmlib.IsCollectiveCall(pass.TypesInfo, call) {
 			culprit = call
 			return false

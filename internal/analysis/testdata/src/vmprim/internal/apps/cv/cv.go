@@ -174,3 +174,20 @@ func ScrambleUser(p *hypercube.Proc) {
 	p.Send(0, 2, nil)
 	xrelay.Scramble(p, p.GetBuf(1))
 }
+
+// OwnedShift hands every phase's buffer over to the neighbor, as the
+// router does with its per-phase wires. Clean.
+func OwnedShift(p *hypercube.Proc) {
+	for k := 0; k < p.Dim(); k++ {
+		wire := p.ExchangeOwned(k, 12, make([]float64, 2))
+		_ = wire
+	}
+}
+
+// OwnedCross is CrossShift with hand-over exchanges: a hand-over is
+// still a send and a receive, so it deadlocks the same way.
+func OwnedCross(p *hypercube.Proc) {
+	d := (p.ID() & 1) ^ ((p.ID() >> 1) & 1)
+	wire := p.ExchangeOwned(d, 13, nil) // want `protocol deadlocks on the d=2 cube: 4/4 procs blocked at VT step 1`
+	_ = wire
+}

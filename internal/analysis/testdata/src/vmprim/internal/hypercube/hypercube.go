@@ -18,6 +18,9 @@ func (p *Proc) Recycle(buf []float64)                          {}
 func (p *Proc) Send(d, tag int, words []float64)               {}
 func (p *Proc) Recv(d, wantTag int) []float64                  { return nil }
 func (p *Proc) Exchange(d, tag int, words []float64) []float64 { return nil }
+func (p *Proc) ExchangeOwned(d, tag int, words []float64) []float64 {
+	return nil
+}
 func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float64 {
 	return nil
 }

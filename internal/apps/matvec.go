@@ -193,8 +193,10 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 		rows = append(rows, lr)
 	}
 	xp := x.L(pid)
+	var xv [1]float64 // Request copies each payload before the next serve
 	got := router.Request(e.P, e.NextTag2(), want, func(key int) []float64 {
-		return []float64{xp[x.Map.LocalOf(key)]}
+		xv[0] = xp[x.Map.LocalOf(key)]
+		return xv[:]
 	})
 	e.EndSpan()
 
@@ -204,7 +206,8 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	// one message per local element.
 	out := e.TempVector(a.Cols, core.Linear, a.CMap.Kind, 0, false)
 	e.BeginSpan("route-products")
-	var parts []router.Msg
+	parts := make([]router.Msg, 0, len(rows)*b)
+	prods := make([]float64, 0, len(rows)*b)
 	flops := 0
 	for wi, lr := range rows {
 		xi := got[wi][0]
@@ -214,7 +217,8 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 			if gj < 0 {
 				continue
 			}
-			parts = append(parts, router.Msg{Dst: out.OwnerProcOf(gj), Key: gj, Words: []float64{xi * aij}})
+			prods = append(prods, xi*aij)
+			parts = append(parts, router.Msg{Dst: out.OwnerProcOf(gj), Key: gj, Words: oneWord(prods)})
 			flops++
 		}
 	}

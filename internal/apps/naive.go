@@ -13,6 +13,15 @@ import (
 // address space" style the paper's primitives displaced. They share no
 // code with the structured collectives on purpose.
 
+// oneWord returns the last word of a call's flat payload buffer as a
+// one-word message payload. The router copies payloads, so views into
+// one buffer, sized up front for every payload of the call, replace
+// an allocation per message.
+func oneWord(buf []float64) []float64 {
+	n := len(buf)
+	return buf[n-1 : n : n]
+}
+
 // naiveBcast has proc src send words to every processor as P separate
 // routed messages (no spanning tree, no combining); everyone returns
 // the payload.
@@ -42,9 +51,11 @@ func naiveFetchElems(e *core.Env, a *core.Matrix, idx [][2]int) []float64 {
 	pid := e.P.ID()
 	blk := a.L(pid)
 	b := a.CMap.B
+	var val [1]float64 // Request copies each payload before the next serve
 	got := router.Request(e.P, e.NextTag2(), want, func(key int) []float64 {
 		i, j := key/a.Cols, key%a.Cols
-		return []float64{blk[a.RMap.LocalOf(i)*b+a.CMap.LocalOf(j)]}
+		val[0] = blk[a.RMap.LocalOf(i)*b+a.CMap.LocalOf(j)]
+		return val[:]
 	})
 	if e.P.ID() != 0 {
 		return nil
@@ -64,7 +75,8 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	var out []router.Msg
+	out := make([]router.Msg, 0, 2*b)
+	vals := make([]float64, 0, 2*b)
 	for _, pair := range [2][2]int{{i1, i2}, {i2, i1}} {
 		from, to := pair[0], pair[1]
 		if myRow != a.RMap.CoordOf(from) {
@@ -76,10 +88,11 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 			if gj < 0 {
 				continue
 			}
+			vals = append(vals, blk[lr*b+lc])
 			out = append(out, router.Msg{
 				Dst:   a.OwnerOf(to, gj),
 				Key:   to*a.Cols + gj,
-				Words: []float64{blk[lr*b+lc]},
+				Words: oneWord(vals),
 			})
 		}
 	}
@@ -100,18 +113,22 @@ func naiveSpreadRow(e *core.Env, a *core.Matrix, i, clo, chi int) []float64 {
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
 	var out []router.Msg
+	var words []float64
 	if myRow == a.RMap.CoordOf(i) {
+		out = make([]router.Msg, 0, b*e.G.PRows())
+		words = make([]float64, 0, b)
 		lr := a.RMap.LocalOf(i)
 		for lc := 0; lc < b; lc++ {
 			gj := a.CMap.GlobalOf(myCol, lc)
 			if gj < clo || gj >= chi {
 				continue
 			}
+			words = append(words, blk[lr*b+lc])
 			for gr := 0; gr < e.G.PRows(); gr++ {
 				out = append(out, router.Msg{
 					Dst:   e.G.ProcAt(gr, myCol),
 					Key:   gj,
-					Words: []float64{blk[lr*b+lc]},
+					Words: oneWord(words),
 				})
 			}
 		}
@@ -136,18 +153,22 @@ func naiveSpreadCol(e *core.Env, a *core.Matrix, j, rlo, rhi int) []float64 {
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
 	var out []router.Msg
+	var words []float64
 	if myCol == a.CMap.CoordOf(j) {
+		out = make([]router.Msg, 0, a.RMap.B*e.G.PCols())
+		words = make([]float64, 0, a.RMap.B)
 		lc := a.CMap.LocalOf(j)
 		for lr := 0; lr < a.RMap.B; lr++ {
 			gi := a.RMap.GlobalOf(myRow, lr)
 			if gi < rlo || gi >= rhi {
 				continue
 			}
+			words = append(words, blk[lr*b+lc])
 			for gc := 0; gc < e.G.PCols(); gc++ {
 				out = append(out, router.Msg{
 					Dst:   e.G.ProcAt(myRow, gc),
 					Key:   gi,
-					Words: []float64{blk[lr*b+lc]},
+					Words: oneWord(words),
 				})
 			}
 		}

@@ -83,9 +83,11 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 			for q2, gi := range idx {
 				want[q2] = router.Msg{Dst: ownerOf(gi), Key: gi}
 			}
+			var eq [4]float64 // Request copies each payload before the next serve
 			got := router.Request(p, e.NextTag2(), want, func(key int) []float64 {
 				l := localOf(key)
-				return []float64{la[l], lb[l], lc[l], ld[l]}
+				eq = [4]float64{la[l], lb[l], lc[l], ld[l]}
+				return eq[:]
 			})
 			out := make(map[int][4]float64, len(idx))
 			for q2, gi := range idx {
@@ -98,8 +100,10 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 			for q2, gi := range idx {
 				want[q2] = router.Msg{Dst: ownerOf(gi), Key: gi}
 			}
+			var xv [1]float64
 			got := router.Request(p, e.NextTag2(), want, func(key int) []float64 {
-				return []float64{lx[localOf(key)]}
+				xv[0] = lx[localOf(key)]
+				return xv[:]
 			})
 			out := make(map[int]float64, len(idx))
 			for q2, gi := range idx {

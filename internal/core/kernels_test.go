@@ -166,3 +166,40 @@ func TestReduceRowsSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("ReduceRows steady state allocates %.1f objects/proc/run, want <= 10", perProc)
 	}
 }
+
+func TestTransposeAllocsRatchet(t *testing.T) {
+	// An embedding change allocates per call, not per element: the
+	// items, one flat bucket buffer, the router's per-phase buffers and
+	// the arrivals. At d=6, n=128 that measured about 1,000
+	// allocations per Transpose (16 per processor); the map-and-sort
+	// bucketing and the per-message router decode it replaced took
+	// 2,958. Lower the bound when an improvement lands; never raise it
+	// to pass.
+	const ratchet = 1050
+	g := embed.SplitFor(6, 128, 128)
+	a, err := FromDense(g, randDense(rand.New(rand.NewSource(44)), 128, 128), embed.Block, embed.Block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := hypercube.MustNew(g.D, costmodel.CM2())
+	defer m.Close()
+	body := func(p *hypercube.Proc) { NewEnv(p, g).Transpose(a) }
+	run := func() {
+		if _, err := m.Run(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / runs; per > ratchet {
+		t.Fatalf("Transpose d=6 n=128 allocates %.0f objects/op, ratchet allows %d", per, ratchet)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vmprim/internal/embed"
 	"vmprim/internal/router"
@@ -27,20 +26,46 @@ type remapItem struct {
 // remapExchange routes every processor's items to dstOf(key) and
 // returns the items that arrived here. All processors call it
 // together.
+//
+// A counting sort by destination packs the items into one flat buffer,
+// one (key, value) run per destination in item order, and the combined
+// messages go out by ascending Dst: the order the router's e-cube
+// forwarding, and so every simulated clock, depends on.
 func (e *Env) remapExchange(items []remapItem, dstOf func(key int) int) []remapItem {
-	buckets := make(map[int][]float64)
-	for _, it := range items {
-		d := dstOf(it.key)
-		buckets[d] = append(buckets[d], float64(it.key), it.val)
+	np := e.P.P()
+	dst := make([]int, len(items))
+	// next[d+1] first counts the items bound for d; the prefix sum
+	// then makes next[d] the start of d's run, a cursor for the fill.
+	next := make([]int, np+1)
+	for i, it := range items {
+		dst[i] = dstOf(it.key)
+		next[dst[i]+1]++
 	}
-	msgs := make([]router.Msg, 0, len(buckets))
-	for d, words := range buckets {
-		msgs = append(msgs, router.Msg{Dst: d, Key: len(words) / 2, Words: words})
+	nmsg := 0
+	for d := 0; d < np; d++ {
+		if next[d+1] > 0 {
+			nmsg++
+		}
+		next[d+1] += next[d]
 	}
-	// Map iteration order is random; sort for run-to-run determinism.
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].Dst < msgs[j].Dst })
+	flat := make([]float64, 2*len(items))
+	msgs := make([]router.Msg, 0, nmsg)
+	for d := 0; d < np; d++ {
+		if lo, hi := 2*next[d], 2*next[d+1]; hi > lo {
+			msgs = append(msgs, router.Msg{Dst: d, Key: (hi - lo) / 2, Words: flat[lo:hi:hi]})
+		}
+	}
+	for i, it := range items {
+		at := 2 * next[dst[i]]
+		flat[at], flat[at+1] = float64(it.key), it.val
+		next[dst[i]]++
+	}
 	got := router.Route(e.P, e.NextTag(), msgs)
-	var recv []remapItem
+	n := 0
+	for _, m := range got {
+		n += len(m.Words) / 2
+	}
+	recv := make([]remapItem, 0, n)
 	for _, m := range got {
 		for i := 0; i+1 < len(m.Words); i += 2 {
 			recv = append(recv, remapItem{key: int(m.Words[i]), val: m.Words[i+1]})
@@ -128,7 +153,7 @@ func (e *Env) TransposeInto(dst, a *Matrix) {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	var items []remapItem
+	items := make([]remapItem, 0, a.RMap.B*b)
 	for lr := 0; lr < a.RMap.B; lr++ {
 		gi := a.RMap.GlobalOf(myRow, lr)
 		if gi < 0 {

@@ -824,14 +824,20 @@ func (p *Proc) Compute(flops int) {
 // the slice. The sender's clock advances by the send cost and the
 // message arrives at that time.
 func (p *Proc) Send(d, tag int, words []float64) {
-	p.checkDim(d)
-	p.clock += p.m.params.SendCost(len(words))
-	p.tStart += p.m.params.CommStartup
-	p.tXfer += costmodel.Time(len(words)) * p.m.params.CommPerWord
-	if p.crit {
-		p.cpChargeSend(d, len(words))
-	}
+	p.chargeSend(d, len(words))
 	p.post(d, tag, words, p.clock)
+}
+
+// chargeSend advances the clock by the cost of sending n words along
+// dimension d.
+func (p *Proc) chargeSend(d, n int) {
+	p.checkDim(d)
+	p.clock += p.m.params.SendCost(n)
+	p.tStart += p.m.params.CommStartup
+	p.tXfer += costmodel.Time(n) * p.m.params.CommPerWord
+	if p.crit {
+		p.cpChargeSend(d, n)
+	}
 }
 
 // post enqueues a copy of words on the neighbor's inbound link with
@@ -841,6 +847,12 @@ func (p *Proc) Send(d, tag int, words []float64) {
 func (p *Proc) post(d, tag int, words []float64, arrive costmodel.Time) {
 	cp := p.pool.get(len(words))
 	copy(cp, words)
+	p.enqueue(d, tag, cp, arrive)
+}
+
+// enqueue puts words itself on the neighbor's inbound link with the
+// given arrival time; the receiver owns it from then on.
+func (p *Proc) enqueue(d, tag int, words []float64, arrive costmodel.Time) {
 	p.nMsgs++
 	p.nWords += int64(len(words))
 	p.linkWords[d] += int64(len(words))
@@ -852,7 +864,7 @@ func (p *Proc) post(d, tag int, words []float64, arrive costmodel.Time) {
 	}
 	p.msgHist[msgBin(len(words))]++
 	p.record(flightrec.KindSend, "", d, tag, len(words), arrive)
-	msg := message{words: cp, tag: tag, arrive: arrive}
+	msg := message{words: words, tag: tag, arrive: arrive}
 	if p.crit {
 		msg.cp = p.cpSnapshot()
 	}
@@ -1050,6 +1062,18 @@ func (p *Proc) disarmWatchdog() {
 // collective: both sides send words, both receive the partner's words.
 func (p *Proc) Exchange(d, tag int, words []float64) []float64 {
 	p.Send(d, tag, words)
+	return p.Recv(d, tag)
+}
+
+// ExchangeOwned is Exchange for a payload the caller gives up: words
+// itself travels to the neighbor instead of a copy from the sender's
+// pool, and the caller must not touch it afterwards. Simulated costs,
+// statistics and recorder events are Exchange's. The router hands over
+// its per-phase wires this way, so no router buffer passes through a
+// pool and each routed word is copied once per hop instead of twice.
+func (p *Proc) ExchangeOwned(d, tag int, words []float64) []float64 {
+	p.chargeSend(d, len(words))
+	p.enqueue(d, tag, words, p.clock)
 	return p.Recv(d, tag)
 }
 

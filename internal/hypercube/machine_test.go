@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,55 @@ func TestPayloadIsCopied(t *testing.T) {
 	}
 	if received[0] != 42 {
 		t.Fatalf("received %v, want 42: payload aliased", received[0])
+	}
+}
+
+func TestExchangeOwnedHandsOverTheBuffer(t *testing.T) {
+	// ExchangeOwned moves the sender's own array to the neighbor and
+	// otherwise behaves exactly like Exchange: same payloads, clocks
+	// and statistics.
+	m := MustNew(3, costmodel.CM2())
+	defer m.Close()
+	sent := make([]*float64, m.P())
+	got := make([]*float64, m.P())
+	run := func(owned bool) (costmodel.Time, Stats) {
+		elapsed, err := m.Run(func(p *Proc) {
+			for d := 0; d < p.Dim(); d++ {
+				w := make([]float64, 3+d)
+				w[0] = float64(p.ID())
+				var in []float64
+				if owned {
+					in = p.ExchangeOwned(d, 5+d, w)
+				} else {
+					in = p.Exchange(d, 5+d, w)
+				}
+				if len(in) != 3+d || in[0] != float64(p.Neighbor(d)) {
+					panic(fmt.Sprintf("dim %d: received %v from %d", d, in, p.Neighbor(d)))
+				}
+				if d == 0 {
+					sent[p.ID()], got[p.ID()] = &w[0], &in[0]
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return elapsed, m.LastStats()
+	}
+	copiedT, copiedStats := run(false)
+	for pid := range got {
+		if got[pid] == sent[pid^1] {
+			t.Fatalf("Exchange delivered proc %d's own array to proc %d", pid^1, pid)
+		}
+	}
+	ownedT, ownedStats := run(true)
+	for pid := range got {
+		if got[pid] != sent[pid^1] {
+			t.Fatalf("ExchangeOwned delivered a copy of proc %d's array to proc %d", pid^1, pid)
+		}
+	}
+	if ownedT != copiedT || ownedStats != copiedStats {
+		t.Fatalf("ExchangeOwned: %v %+v, Exchange: %v %+v", ownedT, ownedStats, copiedT, copiedStats)
 	}
 }
 

@@ -15,6 +15,14 @@ import "math/bits"
 // Exchange-heavy collectives are symmetric, so pools equilibrate and
 // the steady state allocates nothing.
 //
+// The router (internal/router) keeps its scratch out of the pools:
+// its buffers are sized for e-cube hot spots, and a pool that keeps
+// them keeps those peaks resident. With router buffers recycled here,
+// F3's pools held 148 MB of transpose hot-spot buffers (0.3 MB
+// without). Route allocates exact-size per-phase buffers instead and
+// moves its wires with ExchangeOwned, which bypasses the pool; the
+// receiver drops each wire once decoded.
+//
 // The pool is single-goroutine by construction: each Proc's pool is
 // touched only by that processor's worker goroutine (or by host code
 // between runs), so get/put need no synchronization.

@@ -1,7 +1,10 @@
 package router
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -212,7 +215,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Dst: 0, Key: -1, Words: nil},
 		{Dst: 7, Key: 0, Words: []float64{9}},
 	}
-	got := decode(encode(msgs))
+	got := decodeAll(encode(nil, msgs))
 	if len(got) != len(msgs) {
 		t.Fatalf("decode count %d", len(got))
 	}
@@ -226,8 +229,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if len(decode(nil)) != 0 {
-		t.Fatal("decode(nil) non-empty")
+	if len(decodeAll(nil)) != 0 {
+		t.Fatal("decodeAll(nil) non-empty")
 	}
 }
 
@@ -260,5 +263,275 @@ func TestHeaderBounds(t *testing.T) {
 			}()
 			header(c.dst, c.n)
 		}()
+	}
+	// So does a key that a wire word would round.
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "key") {
+				t.Errorf("appendWire with key 2^53+1: recovered %q, want a key panic", msg)
+			}
+		}()
+		appendWire(nil, Msg{Key: maxKey + 1})
+	}()
+}
+
+// encode appends the wire encoding of msgs to buf.
+func encode(buf []float64, msgs []Msg) []float64 {
+	for _, m := range msgs {
+		buf = appendWire(buf, m)
+	}
+	return buf
+}
+
+// decodeAll decodes a whole wire the way Route does: scan sizes the
+// message slice and the payload arena, decode fills them.
+func decodeAll(wire []float64) []Msg {
+	n, words := scan(wire)
+	return decode(make([]Msg, 0, n), make([]float64, 0, words), wire)
+}
+
+// refRoute is the router as it was before Route moved its scratch into
+// flat per-call buffers: a fresh payload slice per decoded message and
+// a growing forward list per phase. It is the oracle for the delivered
+// order and the simulated clocks, which the rewrite must not change.
+func refRoute(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
+	p.BeginSpan("route")
+	defer p.EndSpan()
+	p.NoteCollective("route", p.FullMask(), tag)
+	if p.Profiling() {
+		words := 0
+		for _, m := range outgoing {
+			words += len(m.Words)
+		}
+		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), len(outgoing), words, headerWords))
+	}
+	for _, m := range outgoing {
+		if m.Dst < 0 || m.Dst >= p.P() {
+			panic(fmt.Sprintf("router: destination %d out of range [0,%d)", m.Dst, p.P()))
+		}
+	}
+	pending := make([]Msg, len(outgoing))
+	copy(pending, outgoing)
+	for i := 0; i < p.Dim(); i++ {
+		keep := pending[:0]
+		var fwd []Msg
+		words := 0
+		for _, m := range pending {
+			if (m.Dst>>i)&1 != (p.ID()>>i)&1 {
+				fwd = append(fwd, m)
+				words += len(m.Words)
+			} else {
+				keep = append(keep, m)
+			}
+		}
+		pending = keep
+		p.RoutePhaseCharge(len(fwd), words)
+		got := p.Exchange(i, tag<<6|i, refEncode(fwd))
+		pending = append(pending, refDecode(got)...)
+	}
+	return pending
+}
+
+func refEncode(msgs []Msg) []float64 {
+	n := 0
+	for _, m := range msgs {
+		n += headerWords + len(m.Words)
+	}
+	flat := make([]float64, 0, n)
+	for _, m := range msgs {
+		flat = append(flat, header(m.Dst, len(m.Words)), float64(m.Key))
+		flat = append(flat, m.Words...)
+	}
+	return flat
+}
+
+func refDecode(flat []float64) []Msg {
+	var msgs []Msg
+	for i := 0; i < len(flat); {
+		dst, n := unheader(flat[i])
+		key := int(flat[i+1])
+		i += headerWords
+		words := make([]float64, n)
+		copy(words, flat[i:i+n])
+		i += n
+		msgs = append(msgs, Msg{Dst: dst, Key: key, Words: words})
+	}
+	return msgs
+}
+
+// randomTraffic gives every processor a self-message with an empty
+// payload, a message to one hot-spot processor (all-to-one), one along
+// a random permutation, and up to five more to random destinations
+// (self included) with 0–3 payload words each.
+func randomTraffic(rng *rand.Rand, P int) [][]Msg {
+	perm := rng.Perm(P)
+	hot := rng.Intn(P)
+	out := make([][]Msg, P)
+	for pid := range out {
+		msgs := []Msg{
+			{Dst: pid, Key: -1 - pid},
+			{Dst: hot, Key: pid, Words: []float64{float64(pid)}},
+			{Dst: perm[pid], Key: P + pid, Words: []float64{1, 2, float64(pid)}},
+		}
+		for j := rng.Intn(6); j > 0; j-- {
+			words := make([]float64, rng.Intn(4))
+			for k := range words {
+				words[k] = rng.NormFloat64()
+			}
+			dst := rng.Intn(P)
+			if rng.Intn(4) == 0 {
+				dst = pid
+			}
+			msgs = append(msgs, Msg{Dst: dst, Key: rng.Intn(1000) - 500, Words: words})
+		}
+		rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+		out[pid] = msgs
+	}
+	return out
+}
+
+func sameMsgs(a, b []Msg) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Dst != b[i].Dst || a[i].Key != b[i].Key || len(a[i].Words) != len(b[i].Words) {
+			return false
+		}
+		for k, w := range a[i].Words {
+			if math.Float64bits(w) != math.Float64bits(b[i].Words[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestRouteMatchesReference(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, gmp := range []int{1, 2} {
+		runtime.GOMAXPROCS(gmp)
+		for d := 0; d <= 6; d++ {
+			m := hypercube.MustNew(d, costmodel.CM2())
+			for seed := int64(0); seed < 3; seed++ {
+				traffic := randomTraffic(rand.New(rand.NewSource(seed*7+int64(d))), m.P())
+				route := func(f func(*hypercube.Proc, int, []Msg) []Msg) ([][]Msg, costmodel.Time) {
+					got := make([][]Msg, m.P())
+					elapsed, err := m.Run(func(p *hypercube.Proc) {
+						got[p.ID()] = f(p, 3, traffic[p.ID()])
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return got, elapsed
+				}
+				want, wantT := route(refRoute)
+				got, gotT := route(Route)
+				if gotT != wantT {
+					t.Errorf("gomaxprocs %d d=%d seed %d: Elapsed %v, reference %v", gmp, d, seed, gotT, wantT)
+				}
+				for pid := range got {
+					if !sameMsgs(got[pid], want[pid]) {
+						t.Errorf("gomaxprocs %d d=%d seed %d proc %d: delivered\n%v\nreference\n%v",
+							gmp, d, seed, pid, got[pid], want[pid])
+					}
+				}
+			}
+			m.Close()
+		}
+	}
+}
+
+func TestRouteResultsDoNotAlias(t *testing.T) {
+	for _, d := range []int{0, 3} {
+		m := hypercube.MustNew(d, costmodel.CM2())
+		_, err := m.Run(func(p *hypercube.Proc) {
+			id := float64(p.ID())
+			out := []Msg{
+				{Dst: 0, Key: 2 * p.ID(), Words: []float64{id, 1}},
+				{Dst: 0, Key: 2*p.ID() + 1, Words: []float64{id, 2}},
+				{Dst: p.ID(), Key: -1 - p.ID(), Words: []float64{id, 3}},
+			}
+			in := Route(p, 1, out)
+			want := make([]Msg, len(in))
+			for i, msg := range in {
+				want[i] = Msg{Dst: msg.Dst, Key: msg.Key, Words: append([]float64(nil), msg.Words...)}
+			}
+			for _, msg := range out {
+				for k := range msg.Words {
+					msg.Words[k] = -7
+				}
+			}
+			for _, msg := range in {
+				_ = append(msg.Words, -8)
+			}
+			if !sameMsgs(in, want) {
+				panic(fmt.Sprintf("delivered payloads changed: %v, want %v", in, want))
+			}
+		})
+		if err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		m.Close()
+	}
+}
+
+func TestRequestResultsDoNotAlias(t *testing.T) {
+	m := hypercube.MustNew(3, costmodel.CM2())
+	defer m.Close()
+	_, err := m.Run(func(p *hypercube.Proc) {
+		want := make([]Msg, p.P())
+		for q := range want {
+			want[q] = Msg{Dst: q, Key: q}
+		}
+		// serve hands back one scratch buffer every call.
+		scratch := make([]float64, 2)
+		got := Request(p, 10, want, func(k int) []float64 {
+			scratch[0], scratch[1] = float64(p.ID()), float64(k)
+			return scratch
+		})
+		scratch[0], scratch[1] = -7, -7
+		for _, r := range got {
+			_ = append(r, -8)
+		}
+		for q, r := range got {
+			if len(r) != 2 || r[0] != float64(q) || r[1] != float64(q) {
+				panic(fmt.Sprintf("fetch from %d: got %v, want [%d %d]", q, r, q, q))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRouteAllocsFlatInMessageCount(t *testing.T) {
+	// Route's buffers are per call, not per message: sixteen times
+	// the one-word messages must not cost more allocations. Before
+	// the flat buffers, every decoded message was its own allocation
+	// (about 16x the allocations at 256 messages as at 16).
+	m := hypercube.MustNew(4, costmodel.CM2())
+	defer m.Close()
+	perProc := func(k int) float64 {
+		outs := make([][]Msg, m.P())
+		for pid := range outs {
+			words := make([]float64, k)
+			outs[pid] = make([]Msg, k)
+			for j := range outs[pid] {
+				outs[pid][j] = Msg{Dst: (pid + 7*j) % m.P(), Key: j, Words: words[j : j+1 : j+1]}
+			}
+		}
+		body := func(p *hypercube.Proc) { Route(p, 1, outs[p.ID()]) }
+		return testing.AllocsPerRun(10, func() {
+			if _, err := m.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(m.P())
+	}
+	few, many := perProc(16), perProc(256)
+	t.Logf("allocations per processor per Route: %.1f at 16 messages, %.1f at 256", few, many)
+	if many > few+1 {
+		t.Fatalf("Route allocates %.1f objects/proc at 256 messages vs %.1f at 16: allocation grows with message count", many, few)
 	}
 }

@@ -86,6 +86,13 @@ go test -race -run 'Profile|Span|Congestion|LinkVolumes' ./internal/hypercube/ .
 # and metrics; this line pins the contract and adds cmd/vmload.)
 go test -race ./internal/serve/ ./internal/metrics/ ./cmd/vmload/
 
+# Wire-format fuzz smoke: a short native-fuzzing run of the router's
+# encode/decode round trip and malformed-wire handling, on top of the
+# committed seed corpus in internal/router/testdata/fuzz. A crasher is
+# written to that directory and fails the gate.
+go test -run '^$' -fuzz '^FuzzRouteWire$' -fuzztime 10s -fuzzminimizetime 1s \
+	-parallel 2 ./internal/router
+
 # End-to-end profiled run: the JSON profile on stdout must parse, and
 # the Chrome trace written next to it must parse, or the exporters
 # regressed.
