@@ -25,10 +25,8 @@
 //	                         print its post-mortem report (with the
 //	                         critical path up to the deadlock)
 //
-// Every mode accepts -recv-timeout to change the deadlock watchdog's
-// default arming interval (default 30s; raise it under heavy host
-// load, lower it when iterating on a hang) and -postmortem-out to
-// write the structured post-mortem JSON of a failed run.
+// Every mode accepts -postmortem-out to write the structured
+// post-mortem JSON of a failed run.
 package main
 
 import (
@@ -56,15 +54,10 @@ func main() {
 	model := flag.String("model", "cm2", "cost model for -critpath (cm2 or ipsc)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	traceOut := flag.String("trace-out", "", "Chrome trace output path for -profile (default vmprim-trace-<id>.json, '-' to skip)")
-	recvTimeout := flag.Duration("recv-timeout", 0, "deadlock watchdog arming interval (0 keeps the 30s default)")
 	pmOut := flag.String("postmortem-out", "", "write the post-mortem JSON of a failed run to this path")
 	metricsOut := flag.String("metrics-out", "", "write the metrics snapshot of a -profile or -demo-deadlock run (.prom suffix selects Prometheus text, otherwise JSON)")
 	demoDeadlock := flag.Bool("demo-deadlock", false, "run a deliberately deadlocked exchange and print its post-mortem")
 	flag.Parse()
-
-	if *recvTimeout > 0 {
-		hypercube.SetDefaultRecvTimeout(*recvTimeout)
-	}
 
 	switch {
 	case *list:
@@ -195,7 +188,7 @@ func writeMetrics(m *hypercube.Machine, path string) error {
 // runDemoDeadlock executes a deliberately wrong SPMD program — the
 // procs pair off for an Exchange but disagree about the dimension, so
 // every processor blocks in Recv on a message that never comes — and
-// prints the post-mortem report the watchdog produces. Exit status is
+// prints the post-mortem report of the detected deadlock. Exit status is
 // nonzero unless the report shows every processor blocked, so
 // scripts/check.sh can validate the post-mortem path end to end.
 func runDemoDeadlock(jsonOut bool, pmOut, metricsOut string) error {
@@ -207,17 +200,11 @@ func runDemoDeadlock(jsonOut bool, pmOut, metricsOut string) error {
 	// The post-mortem then carries the critical path up to the
 	// deadlock, showing which causal chain the machine was stuck behind.
 	m.EnableCritPath(true)
-	// Short timeout: the program is known-deadlocked, no point waiting
-	// out the default 30s. An explicit -recv-timeout still applies via
-	// the machine-wide default set in main.
-	if m.RecvTimeout() > time.Second {
-		m.SetRecvTimeout(time.Second)
-	}
 	_, err = m.Run(func(p *hypercube.Proc) {
 		// Procs 0 and 3 exchange on dim 0; procs 1 and 2 on dim 1.
 		// Nobody's partner agrees, so all four block after sending.
 		d := (p.ID() & 1) ^ ((p.ID() >> 1) & 1)
-		//lint:allow recyclecheck the exchange never completes, so there is no buffer to recycle; the run is torn down by the watchdog
+		//lint:allow recyclecheck the exchange never completes, so there is no buffer to recycle; the run is torn down by the deadlock detector
 		//lint:allow commverify the model checker is right — this protocol deadlocks on the d=2 cube by design, and the demo exists to show the runtime post-mortem on exactly the bug the static counterexample describes
 		p.Exchange(d, 7, []float64{float64(p.ID()), 1, 2})
 	})

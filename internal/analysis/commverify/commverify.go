@@ -1,6 +1,6 @@
 // Package commverify is the SPMD-protocol checker: it decides whether
 // every processor of a (sub)cube agrees on each exchange's dimension,
-// tag and subcube, the property the runtime watchdog only reports
+// tag and subcube, the property the runtime deadlock detector only reports
 // after the deadlock has happened. It judges each SPMD scope — a
 // function body, or a function literal such as the closure handed to
 // Machine.Run — in one of two tiers, never both.

@@ -19,12 +19,13 @@ import (
 // points: simulated behavior may depend only on the program and the
 // cost model, never on the host interleaving.
 
-// gomaxprocsSettings returns the distinct settings to stress: 1, 2 and
-// NumCPU (deduplicated, so a single-core host still exercises 1 vs 2 —
-// oversubscription shuffles goroutine interleavings just as well).
+// gomaxprocsSettings returns the distinct settings to stress: 1, 2, 4
+// and NumCPU (deduplicated). The engine runs W = 1, 2 and 4 workers at
+// the first three on any host with p >= 4 processors — oversubscribing
+// a small host shuffles worker interleavings just as well.
 func gomaxprocsSettings() []int {
-	settings := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
+	settings := []int{1, 2, 4}
+	if n := runtime.NumCPU(); n > 4 {
 		settings = append(settings, n)
 	}
 	return settings
@@ -157,8 +158,6 @@ func TestHostSchedMetricsExcluded(t *testing.T) {
 		"vmprim_sched_send_stalls_total",
 		"vmprim_sched_wakeups_total",
 		"vmprim_sched_max_parked_procs",
-		"vmprim_watchdog_arms_total",
-		"vmprim_watchdog_rearms_total",
 	}
 	have := make(map[string]bool)
 	for _, mv := range res.Metrics.Metrics {

@@ -14,7 +14,6 @@ import (
 func newCM2Machine(t *testing.T, g embed.Grid) *hypercube.Machine {
 	t.Helper()
 	m := hypercube.MustNew(g.D, costmodel.CM2())
-	m.SetRecvTimeout(2e9)
 	return m
 }
 

@@ -156,7 +156,6 @@ func TestScanVecRejectsCyclic(t *testing.T) {
 	g, _ := embed.NewGrid(1, 1)
 	vx, _ := VectorFromSlice(g, []float64{1, 2, 3}, Linear, embed.Cyclic, 0, false)
 	m := hypercube.MustNew(g.D, costmodel.CM2())
-	m.SetRecvTimeout(2e9)
 	_, err := m.Run(func(p *hypercube.Proc) {
 		e := NewEnv(p, g)
 		e.ScanVec(vx, OpSum)

@@ -1,8 +1,8 @@
 // Package flightrec is the simulator's flight recorder: a bounded,
 // always-on, per-processor ring buffer of recent simulator events
 // (sends, receives, collective entries) and the post-mortem report the
-// machine assembles from it when a run dies — by deadlock-watchdog
-// timeout or by a panic inside a processor body.
+// machine assembles from it when a run dies — by a detected deadlock
+// or by a panic inside a processor body.
 //
 // The package follows the same discipline as internal/obs: it is
 // passive and cheap. internal/hypercube records events into each

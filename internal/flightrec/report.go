@@ -11,7 +11,7 @@ import (
 )
 
 // Post-mortem report model. The machine assembles a Report after a
-// failed run — deadlock watchdog, tag mismatch, or any panic in a
+// failed run — a detected deadlock, a tag mismatch, or any panic in a
 // processor body — from state that is quiescent by then: per-processor
 // wait registers, flight-recorder rings, open profiler span stacks,
 // bucket accumulators, and the messages still queued on the links.
@@ -138,7 +138,7 @@ type Report struct {
 	// Crit is the critical path through the run up to the failure,
 	// present when the machine ran with critical-path tracing enabled.
 	// For a deadlock it shows which causal chain the machine was stuck
-	// behind when the watchdog fired.
+	// behind when the deadlock was detected.
 	Crit *obs.CritPath `json:"critpath,omitempty"`
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"vmprim/internal/costmodel"
 )
@@ -279,7 +278,6 @@ func TestCritPathConformanceThresholdOverride(t *testing.T) {
 // chain recorded up to the failure.
 func TestCritPathInPostMortem(t *testing.T) {
 	m := MustNew(1, costmodel.CM2())
-	m.SetRecvTimeout(100 * time.Millisecond)
 	m.EnableCritPath(true)
 	_, err := m.Run(func(p *Proc) {
 		p.Compute(10)

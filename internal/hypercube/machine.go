@@ -1,16 +1,17 @@
 // Package hypercube simulates a Boolean-cube (hypercube) distributed-
 // memory multiprocessor, the machine model of the SPAA 1989 paper.
 //
-// A Machine with dimension d has p = 2^d processors, one goroutine
-// each, connected by bidirectional links along the d cube dimensions:
-// processors a and a XOR 2^i are neighbors along dimension i. All
+// A Machine with dimension d has p = 2^d processors, each a coroutine
+// (see Host parallelism below), connected by bidirectional links along
+// the d cube dimensions: processors a and a XOR 2^i are neighbors
+// along dimension i. All
 // inter-processor data moves through these links as messages of 64-bit
 // words. Each processor carries a virtual clock driven by the cost
 // model in internal/costmodel: a send advances the sender's clock by
 // tau + n*t_c, a receive advances the receiver's clock to at least the
 // message's arrival time, and local arithmetic advances the clock by
 // n*t_f. The run time of an SPMD program is the maximum clock over all
-// processors when every goroutine has returned, which is how the
+// processors when every processor body has returned, which is how the
 // Connection Machine timings of the paper are reproduced as simulated
 // microseconds independent of the host.
 //
@@ -23,35 +24,38 @@
 //
 // # Host parallelism
 //
-// The 2^d processor goroutines execute host-parallel: between
-// communication points a processor's body runs freely on whatever
-// host core the Go scheduler gives it, and it parks only at the
-// virtual-time frontier — a Recv whose message has not been posted
-// yet, or a Send against a full link buffer (run-ahead backpressure,
-// see linkCap). Simulated results are bit-identical at every
-// GOMAXPROCS value because nothing in the simulation depends on host
-// interleaving: every directed link is a single-producer
+// The 2^d processors run as persistent coroutines on W worker
+// goroutines, W the largest power of two no larger than GOMAXPROCS or
+// p — the CM-2's virtual-processor mechanism, many virtual processors
+// serialized on one physical one, applied to the simulator's own
+// processors (see engine.go). Each worker owns a subcube and runs one
+// of its processors at a time; between communication points a
+// processor's body runs freely, and it yields to its worker only at
+// the virtual-time frontier — a Recv whose message has not been
+// posted yet, or a Send against a full link buffer (run-ahead
+// backpressure, see linkCap). Simulated results are bit-identical at
+// every GOMAXPROCS value because nothing in the simulation depends on
+// host interleaving: every directed link is a single-producer
 // single-consumer FIFO (the only sender along (dst, d) is dst's
 // dimension-d neighbor), receives are addressed by (link, program
 // order) rather than by time, virtual arrival times travel inside the
 // messages, and all remaining hot-path state (clock, counters, trace,
 // span recorder, flight ring, buffer pool) is owned by exactly one
-// goroutine. Cross-goroutine handoffs — payload buffers inside
-// messages, per-run setup and the post-run fold — synchronize through
-// the links' atomic ring counters, the work channels and rc.wg, which
-// provide the happens-before edges.
+// processor. Links inside a worker's subcube are plain FIFOs; links
+// between workers are lock-free rings (see link.go), whose atomic
+// counters, together with the workers' inboxes, the work channels and
+// rc.wg, provide the happens-before edges of every cross-worker
+// handoff.
 //
-// Each link is a lock-free single-producer single-consumer ring (see
-// link.go). A processor that finds its link empty (Recv) or full
-// (Send) parks on its own wake channel, and the neighbor that next
-// pops or pushes that link wakes it. Aborts and the deadlock watchdog
-// stay off the message path: a processor observes a sibling's failure
-// or a watchdog expiry only when it is about to park, so one that
-// never blocks runs its body to the end. Apart from the rings and the
-// park/wake words, the only concurrency-shaped machine state is the
-// host-scheduler instrumentation (SchedStats), which uses atomics on
-// the park slow paths and is explicitly excluded from every
-// determinism guarantee.
+// Aborts and deadlock detection stay off the message path. A processor
+// observes a sibling's failure only when it is about to block, so one
+// that never blocks runs its body to the end. A deadlock is detected
+// exactly, the moment every worker is asleep or finished with some
+// processor still parked, and every parked processor then unwinds with
+// a panic naming its wait. Apart from the rings and the wake words,
+// the only concurrency-shaped machine state is the host-scheduler
+// instrumentation (SchedStats), kept per worker and explicitly
+// excluded from every determinism guarantee.
 package hypercube
 
 import (
@@ -59,46 +63,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/flightrec"
 	"vmprim/internal/gray"
 	"vmprim/internal/obs"
 )
-
-// DefaultRecvTimeout bounds how long a processor waits for a message
-// before declaring the program deadlocked. Collective protocols in
-// this library complete in well under a second of host time; a stuck
-// Recv means a protocol bug, and failing fast beats hanging a test
-// run.
-const DefaultRecvTimeout = 30 * time.Second
-
-// defaultRecvTimeoutNs, when nonzero, overrides DefaultRecvTimeout for
-// machines constructed afterwards (set from cmd/vmprim's -recv-timeout
-// flag before any machine exists; atomic so tests may race it safely).
-var defaultRecvTimeoutNs atomic.Int64
-
-// SetDefaultRecvTimeout changes the deadlock-watchdog timeout applied
-// to machines constructed from now on; existing machines keep theirs
-// (use SetRecvTimeout for a per-machine override). d <= 0 restores
-// DefaultRecvTimeout.
-func SetDefaultRecvTimeout(d time.Duration) {
-	if d <= 0 {
-		defaultRecvTimeoutNs.Store(0)
-		return
-	}
-	defaultRecvTimeoutNs.Store(int64(d))
-}
-
-// currentDefaultRecvTimeout resolves the timeout New applies.
-func currentDefaultRecvTimeout() time.Duration {
-	if ns := defaultRecvTimeoutNs.Load(); ns > 0 {
-		return time.Duration(ns)
-	}
-	return DefaultRecvTimeout
-}
 
 // defaultFlightDepth is the per-processor flight-recorder capacity
 // (events retained) unless overridden with SetFlightRecorderDepth.
@@ -119,11 +89,12 @@ type message struct {
 // New, then execute SPMD programs with Run. A Machine is reusable: Run
 // may be called any number of times, sequentially.
 //
-// The machine keeps one worker goroutine per processor alive across
-// Run calls (spawned lazily on the first Run), so benchmark loops and
-// multi-phase applications that Run once per step do not pay goroutine
-// spawn and teardown for every call. The workers exit when Close is
-// called or, failing that, when the Machine is garbage collected.
+// The machine keeps its workers and one coroutine per processor alive
+// across Run calls (started lazily on the first Run, and again when
+// GOMAXPROCS changes the worker count), so benchmark loops and
+// multi-phase applications that Run once per step do not pay for
+// starting them on every call. The workers exit when Close is called
+// or, failing that, when the Machine is garbage collected.
 type Machine struct {
 	dim    int
 	p      int
@@ -132,8 +103,6 @@ type Machine struct {
 	// links[pid*dim+d] carries messages addressed to pid along
 	// dimension d.
 	links []link
-
-	recvTimeout time.Duration
 
 	// procs are the persistent per-processor handles, reset and reused
 	// by every Run.
@@ -147,14 +116,6 @@ type Machine struct {
 	clocks     []costmodel.Time
 	traceLimit int
 	trace      []TraceEvent
-
-	// Host-scheduler gauges, touched only on the park slow paths:
-	// parked counts processor goroutines currently blocked at the
-	// virtual-time frontier, maxParked its per-run high-water mark.
-	// These are the one piece of machine state written concurrently by
-	// the workers; they feed SchedStats and never the simulation.
-	parked    atomic.Int32
-	maxParked atomic.Int32
 
 	// Profiling state (see profile.go): profEnabled gates the span
 	// machinery for the next Run, profile holds the last profiled
@@ -184,44 +145,14 @@ type Machine struct {
 	met        machMetrics
 }
 
-// engine is the persistent worker pool. It is a separate object so the
-// worker goroutines hold no reference to the Machine, and it carries
-// the garbage-collection backstop: when the Machine becomes
-// unreachable, so does the engine, whose finalizer closes stop and
-// lets the workers exit. The finalizer cannot sit on the Machine
-// itself: every Proc points back at its Machine, and the collector
-// never finalizes an object reachable from its own referents.
-type engine struct {
-	work []chan *runCtx // one slot per worker, buffered 1
-	stop chan struct{}
-}
-
-// runCtx carries one Run invocation to the workers, including the
-// per-run configuration each worker needs to reset its own Proc
-// (resetForRun executes on the worker goroutine, so the reset work
-// parallelizes across host cores and every Proc field stays
-// single-writer).
-type runCtx struct {
-	body   func(*Proc)
-	procs  []*Proc
-	abort  chan struct{}
-	errs   chan procError
-	prof   bool
-	crit   bool
-	stream obs.StreamSink
-
-	wg        sync.WaitGroup
-	abortOnce sync.Once
-}
-
-// linkCap returns the ring capacity of each link for a cube
-// of dimension dim. The invariant that sizes it: collectives are built
+// linkCap returns the capacity of each link for a cube of dimension
+// dim. The invariant that sizes it: collectives are built
 // from matched exchange phases in which each directed link carries at
 // most one message before the partner receives, so capacity 1 already
 // guarantees deadlock freedom. Capacity above that only controls how
 // far a fast processor may pipeline ahead of a slow neighbor on one
-// link without parking its goroutine; a full-cube collective issues at
-// most one message per link per step and has O(dim) steps, so a small
+// link without parking; a full-cube collective issues at most one
+// message per link per step and has O(dim) steps, so a small
 // multiple of dim absorbs a whole collective of run-ahead. Beyond the
 // buffer the sender blocks, which throttles host-side pipelining but
 // never affects simulated time.
@@ -245,10 +176,10 @@ func (s *Stats) Add(other Stats) {
 }
 
 // SchedStats describes the host-side scheduling of one Run: how often
-// processor goroutines parked at the virtual-time frontier and how
-// far host parallelism was throttled. Unlike every simulated quantity
-// these counters are NOT deterministic — they depend on GOMAXPROCS,
-// host load and goroutine interleaving — so they are diagnostics
+// processors parked at the virtual-time frontier and how far host
+// parallelism was throttled. Unlike every simulated quantity these
+// counters are NOT deterministic — they depend on GOMAXPROCS, host
+// load and worker interleaving — so they are diagnostics
 // only, excluded from profiles' JSON/Chrome exports and from the
 // bit-identity guarantees. A high RecvParks/Messages ratio means the
 // workload synchronizes at nearly every message (little run-ahead to
@@ -256,7 +187,7 @@ func (s *Stats) Add(other Stats) {
 // processor's run-ahead.
 type SchedStats struct {
 	// RecvParks counts receives that found the link empty and parked
-	// the goroutine until the message was posted (frontier waits).
+	// the processor until the message was posted (frontier waits).
 	RecvParks int64
 	// SendStalls counts sends that found the link buffer full and
 	// parked until the receiver drained it (run-ahead backpressure).
@@ -264,8 +195,11 @@ type SchedStats struct {
 	// Wakeups counts parks resumed by link traffic (as opposed to
 	// aborts); RecvParks + SendStalls - Wakeups parks died with the run.
 	Wakeups int64
-	// MaxParked is the high-water mark of concurrently parked
-	// processor goroutines over the run.
+	// MaxParked sums, over the engine's workers, each worker's
+	// high-water mark of its processors parked at once during the run.
+	// With one worker that is the machine-wide high-water mark; with
+	// several it bounds it from above, since the workers' peaks need
+	// not coincide.
 	MaxParked int
 }
 
@@ -279,21 +213,6 @@ func (s *SchedStats) Add(other SchedStats) {
 	}
 }
 
-// parkEnter registers a processor goroutine blocking at the frontier;
-// parkExit undoes it. Both run only on the slow (already-blocking)
-// paths, so the atomics never tax a run that keeps its links warm.
-func (m *Machine) parkEnter() {
-	n := m.parked.Add(1)
-	for {
-		max := m.maxParked.Load()
-		if n <= max || m.maxParked.CompareAndSwap(max, n) {
-			return
-		}
-	}
-}
-
-func (m *Machine) parkExit() { m.parked.Add(-1) }
-
 // New returns a machine of dimension dim (2^dim processors) governed
 // by the given cost parameters. It returns an error if dim is negative
 // or unreasonably large, or if the parameters are invalid.
@@ -306,22 +225,22 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 	}
 	p := 1 << dim
 	m := &Machine{
-		dim:         dim,
-		p:           p,
-		params:      params,
-		links:       make([]link, p*dim),
-		recvTimeout: currentDefaultRecvTimeout(),
-		procs:       make([]*Proc, p),
-		clocks:      make([]costmodel.Time, p),
-		met:         newMachMetrics(),
+		dim:    dim,
+		p:      p,
+		params: params,
+		links:  make([]link, p*dim),
+		procs:  make([]*Proc, p),
+		clocks: make([]costmodel.Time, p),
+		met:    newMachMetrics(),
 	}
 	for pid := 0; pid < p; pid++ {
-		m.procs[pid] = &Proc{m: m, id: pid, linkWords: make([]int64, dim), pk: newParker()}
+		m.procs[pid] = &Proc{m: m, id: pid, linkWords: make([]int64, dim), co: &coro{}}
 		m.procs[pid].rec.Init(defaultFlightDepth)
 	}
-	// One slab backs every ring. Matched exchange phases (both sides
+	// One slab backs every link. Matched exchange phases (both sides
 	// send, then both receive) never block on the send; see linkCap for
-	// how the capacity is derived.
+	// how the capacity is derived. Links start as plain FIFOs; the
+	// engine turns those between its workers into rings.
 	c := linkCap(dim)
 	slab := make([]message, p*dim*c)
 	for pid := 0; pid < p; pid++ {
@@ -329,7 +248,7 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 			i := pid*dim + d
 			l := &m.links[i]
 			l.slots = slab[i*c : (i+1)*c : (i+1)*c]
-			l.rx, l.tx = m.procs[pid].pk, m.procs[pid^(1<<d)].pk
+			l.rx, l.tx = m.procs[pid].co, m.procs[pid^(1<<d)].co
 			l.rxWait, l.txWait = recvWait(d), sendWait(d)
 		}
 	}
@@ -363,14 +282,6 @@ func (m *Machine) P() int { return m.p }
 // Params returns the machine's cost parameters.
 func (m *Machine) Params() costmodel.Params { return m.params }
 
-// SetRecvTimeout overrides the deadlock-detection timeout. It must be
-// called between runs, not during one.
-func (m *Machine) SetRecvTimeout(d time.Duration) { m.recvTimeout = d }
-
-// RecvTimeout reports the machine's current deadlock-detection
-// timeout.
-func (m *Machine) RecvTimeout() time.Duration { return m.recvTimeout }
-
 // Elapsed returns the simulated time of the most recent Run: the
 // maximum virtual clock over all processors.
 func (m *Machine) Elapsed() costmodel.Time {
@@ -389,7 +300,7 @@ func (m *Machine) LastStats() Stats {
 
 // SchedStats returns the host-scheduler instrumentation of the most
 // recent Run: frontier parks, backpressure stalls, wakeups and the
-// parked-goroutine high-water mark. These describe the host
+// parked-processor high-water marks. These describe the host
 // execution, vary with GOMAXPROCS, and are NOT covered by the
 // simulator's determinism guarantees.
 func (m *Machine) SchedStats() SchedStats {
@@ -409,7 +320,7 @@ func (m *Machine) Clocks() []costmodel.Time {
 	return out
 }
 
-// procError carries a panic out of a processor goroutine.
+// procError carries a panic out of a processor coroutine.
 type procError struct {
 	pid int
 	val any
@@ -422,27 +333,33 @@ type procError struct {
 // error with the processor id. Run drains all links afterwards so the
 // machine is clean for the next program.
 func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
-	m.ensureEngine()
+	eng := m.ensureEngine()
 	rc := &runCtx{
-		body:  body,
-		procs: m.procs,
-		abort: make(chan struct{}),
-		errs:  make(chan procError, m.p),
+		body:    body,
+		procs:   m.procs,
+		workers: eng.workers,
+		errs:    make(chan procError, m.p),
+		prof:    m.profEnabled,
+		crit:    m.critEnabled,
+		stream:  m.stream,
 	}
-	rc.prof = m.profEnabled
-	rc.crit = m.critEnabled
-	rc.stream = m.stream
-	rc.wg.Add(m.p)
-	for pid := 0; pid < m.p; pid++ {
-		// The per-run Proc reset happens on the worker goroutine
-		// (resetForRun, called from runBody): the O(p*dim) reset work
-		// parallelizes across host cores, and every Proc field is
-		// written only by its owning goroutine. From here until
+	rc.wg.Add(len(eng.workers))
+	for _, w := range eng.workers {
+		// The per-run Proc reset happens in each processor's coroutine
+		// (resetForRun, called from runOnce): the O(p*dim) reset work
+		// parallelizes across the workers, and every Proc field is
+		// written only by its owning processor. From here until
 		// rc.wg.Wait returns, this goroutine must not touch any Proc.
-		m.eng.work[pid] <- rc
+		w.work <- rc
 	}
 	rc.wg.Wait()
 	close(rc.errs)
+	// Clear the wait words a run that unwound may leave behind, so the
+	// post-run census and drain pop links without waking anyone.
+	for _, pr := range m.procs {
+		pr.co.wait = 0
+		pr.co.state.Store(0)
+	}
 
 	var firstErr error
 	failedPid := -1
@@ -467,14 +384,12 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	var elapsed costmodel.Time
 	var st Stats
 	var sch SchedStats
-	for _, pr := range m.procs {
-		sch.RecvParks += pr.nRecvParks
-		sch.SendStalls += pr.nSendStalls
-		sch.Wakeups += pr.nWakeups
+	for _, w := range eng.workers {
+		sch.RecvParks += w.nRecvParks
+		sch.SendStalls += w.nSendStalls
+		sch.Wakeups += w.nWakeups
+		sch.MaxParked += w.maxParked
 	}
-	sch.MaxParked = int(m.maxParked.Load())
-	m.parked.Store(0)
-	m.maxParked.Store(0)
 	m.mu.Lock()
 	for i, pr := range m.procs {
 		m.clocks[i] = pr.clock
@@ -528,68 +443,35 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	return elapsed, firstErr
 }
 
-// ensureEngine lazily starts the persistent worker pool and arms the
-// garbage-collection backstop that shuts it down.
-func (m *Machine) ensureEngine() {
-	if m.eng != nil {
-		return
+// ensureEngine returns the engine for the current GOMAXPROCS,
+// starting it on the first Run and replacing it when the worker count
+// has changed since the last one. Between runs the links are empty, so
+// the new engine may re-partition them.
+func (m *Machine) ensureEngine() *engine {
+	nw := workerCount(m.p)
+	if m.eng != nil && len(m.eng.workers) != nw {
+		m.stopEngine()
 	}
-	eng := &engine{
-		work: make([]chan *runCtx, m.p),
-		stop: make(chan struct{}),
+	if m.eng == nil {
+		m.eng = m.newEngine(nw)
 	}
-	for pid := 0; pid < m.p; pid++ {
-		eng.work[pid] = make(chan *runCtx, 1)
-		go worker(pid, eng.work[pid], eng.stop)
-	}
-	m.eng = eng
-	runtime.SetFinalizer(eng, (*engine).shutdown)
+	return m.eng
 }
 
-// shutdown stops the worker goroutines.
-func (e *engine) shutdown() { close(e.stop) }
-
-// worker is the persistent goroutine of one processor. It deliberately
-// closes over only its channels, never the Machine (see engine).
-func worker(pid int, work chan *runCtx, stop chan struct{}) {
-	for {
-		select {
-		case rc := <-work:
-			runBody(pid, rc)
-		case <-stop:
-			return
-		}
-	}
+// stopEngine shuts the workers down and waits until they and their
+// coroutines have exited.
+func (m *Machine) stopEngine() {
+	runtime.SetFinalizer(m.eng, nil)
+	m.eng.shutdown()
+	m.eng.exited.Wait()
+	m.eng = nil
 }
 
-// runBody executes one processor's share of a Run with the same panic
-// containment the seed's per-run goroutines had. The first panic
-// closes abort and drops a wake token on every processor, so each
-// parked sibling wakes, sees the closed channel and unwinds too.
-func runBody(pid int, rc *runCtx) {
-	pr := rc.procs[pid]
-	defer rc.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			rc.errs <- procError{pid: pid, val: r}
-			rc.abortOnce.Do(func() {
-				close(rc.abort)
-				for _, q := range rc.procs {
-					q.pk.wakeUp()
-				}
-			})
-		}
-	}()
-	pr.resetForRun(rc)
-	rc.body(pr)
-	pr.checkSpansClosed()
-}
-
-// resetForRun clears the processor's per-run state. It runs on the
-// processor's own worker goroutine, never the Run caller's, so every
-// hot-path Proc field keeps a single writer; the work-channel handoff
-// orders it after Run's bookkeeping and before the SPMD body, and
-// rc.wg orders the previous run's reads before it.
+// resetForRun clears the processor's per-run state. It runs in the
+// processor's own coroutine, never on the Run caller's goroutine, so
+// every hot-path Proc field keeps a single writer; the work-channel
+// handoff orders it after Run's bookkeeping and before the SPMD body,
+// and rc.wg orders the previous run's reads before it.
 func (p *Proc) resetForRun(rc *runCtx) {
 	p.clock = 0
 	p.nMsgs, p.nWords, p.nFlops = 0, 0, 0
@@ -614,8 +496,7 @@ func (p *Proc) resetForRun(rc *runCtx) {
 	} else if len(p.cp) > 0 {
 		p.cp = p.cp[:0]
 	}
-	p.nColl, p.nArms, p.nRearms = 0, 0, 0
-	p.nRecvParks, p.nSendStalls, p.nWakeups = 0, 0, 0
+	p.nColl = 0
 	p.pool.gets, p.pool.hits = 0, 0
 	p.msgHist = [msgHistBins]int64{}
 	p.rec.Reset()
@@ -624,29 +505,23 @@ func (p *Proc) resetForRun(rc *runCtx) {
 		p.captured[i] = nil
 	}
 	p.captured = p.captured[:0]
-	p.abort = rc.abort
 	p.trace = p.trace[:0]
-	p.disarmWatchdog()
 }
 
-// Close shuts down the persistent worker goroutines. It is optional —
-// an unreachable Machine is cleaned up by the garbage collector — and
-// idempotent, but Run must not be called after Close.
+// Close shuts down the persistent workers and returns once they have
+// exited. It is optional — an unreachable Machine is cleaned up by the
+// garbage collector — and idempotent, but Run must not be called after
+// Close.
 func (m *Machine) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.eng != nil {
-		runtime.SetFinalizer(m.eng, nil)
-		m.eng.shutdown()
-		m.eng = nil
-	}
-	for _, pr := range m.procs {
-		pr.disarmWatchdog()
+		m.stopEngine()
 	}
 }
 
-// drain empties every link ring (messages left behind by an aborted
-// or buggy program). The run has quiesced, so any goroutine may pop.
+// drain empties every link (messages left behind by an aborted or
+// buggy program). The run has quiesced, so any goroutine may pop.
 func (m *Machine) drain() {
 	var msg message
 	for i := range m.links {
@@ -655,7 +530,7 @@ func (m *Machine) drain() {
 	}
 }
 
-// linksEmpty reports whether every link ring is empty; tests use it to
+// linksEmpty reports whether every link is empty; tests use it to
 // assert that drain left the machine clean.
 func (m *Machine) linksEmpty() bool {
 	for i := range m.links {
@@ -673,14 +548,13 @@ type abortedError struct{}
 func (abortedError) Error() string { return "aborted by sibling failure" }
 
 // Proc is one simulated processor's handle, valid only inside the body
-// passed to Run and only on that processor's goroutine. Procs are
+// passed to Run and only in that processor's coroutine. Procs are
 // persistent: the machine reuses them (and their buffer pools) across
 // runs.
 type Proc struct {
 	m     *Machine
 	id    int
 	clock costmodel.Time
-	abort chan struct{}
 
 	nMsgs  int64
 	nWords int64
@@ -715,7 +589,7 @@ type Proc struct {
 
 	// Flight recorder and post-mortem state (see postmortem.go). rec is
 	// the bounded event ring; the wait registers say what the processor
-	// is blocked on right now (written by this goroutine on the slow
+	// is blocked on right now (written by this processor on the slow
 	// paths, read by the machine only after the run has ended); captured
 	// holds payloads handed over with Capture. All feed the post-mortem
 	// report of a failed run.
@@ -727,35 +601,13 @@ type Proc struct {
 	captured  [][]float64
 
 	// Per-run metric counters, folded into the machine's registry once
-	// per Run: collective entries, watchdog arms/re-arms, and the
-	// message-size histogram bins (bounds in msgWordBounds).
+	// per Run: collective entries and the message-size histogram bins
+	// (bounds in msgWordBounds).
 	nColl   int64
-	nArms   int64
-	nRearms int64
 	msgHist [msgHistBins]int64
 
-	// Host-scheduler counters (see SchedStats): parks taken at the
-	// virtual-time frontier and their resumptions. Bumped only on the
-	// blocking slow paths; host-nondeterministic by nature.
-	nRecvParks  int64
-	nSendStalls int64
-	nWakeups    int64
-
-	// pk is this processor's park/wake handle (see link.go).
-	pk *parker
-
-	// Deadlock watchdog state (see watch). The timer is armed at most
-	// once per timeout window (not per blocking Recv): recvSeq counts
-	// delivered messages and wdSeq records its value at arming, so a
-	// fire with progress in between just re-arms. Busy steady-state
-	// runs touch the timer heap only once per window. wdGen counts the
-	// armings whose fire has happened or is still due; pk.fires
-	// reaching it means the current arming expired.
-	wdTimer *time.Timer
-	wdArmed bool
-	wdGen   uint64
-	recvSeq uint64
-	wdSeq   uint64
+	// co is this processor's scheduling handle (see engine.go).
+	co *coro
 }
 
 // GetBuf returns a scratch buffer of length n from this processor's
@@ -870,15 +722,15 @@ func (p *Proc) enqueue(d, tag int, words []float64, arrive costmodel.Time) {
 	}
 	l := &p.m.links[dst*p.m.dim+d]
 	if !l.tryPush(&msg) {
-		// Ring full: run-ahead backpressure. Note the blocked send in
+		// Link full: run-ahead backpressure. Note the blocked send in
 		// the wait registers so a post-mortem can name it, count the
 		// stall for SchedStats, then park until the receiver pops.
 		p.waitKind = flightrec.WaitSend
 		p.waitDim, p.waitTag = d, tag
 		p.waitSince = arrive
-		p.nSendStalls++
+		p.co.w.nSendStalls++
 		p.park(l, false, d, tag)
-		l.tryPush(&msg) // cannot fail: only this goroutine pushes
+		l.tryPush(&msg) // cannot fail: only this processor pushes
 	}
 }
 
@@ -938,17 +790,16 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 	var msg message
 	l := &p.m.links[p.id*p.m.dim+d]
 	if !l.tryPop(&msg) {
-		// Slow path: park under the deadlock watchdog. The wait
+		// Slow path: park until the message is posted. The wait
 		// registers make the blocked state visible to the post-mortem
 		// assembler.
 		p.waitKind = flightrec.WaitRecv
 		p.waitDim, p.waitTag = d, wantTag
 		p.waitSince = p.clock
-		p.nRecvParks++
+		p.co.w.nRecvParks++
 		p.park(l, true, d, wantTag)
-		l.tryPop(&msg) // cannot fail: only this goroutine pops
+		l.tryPop(&msg) // cannot fail: only this processor pops
 	}
-	p.recvSeq++
 	if msg.tag != wantTag {
 		// Preserve the offending payload for the post-mortem before
 		// dying: the report shows its length and leading words.
@@ -963,98 +814,6 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 	}
 	p.record(flightrec.KindRecv, "", d, wantTag, len(msg.words), p.clock)
 	return msg.words
-}
-
-// park blocks until l is ready for this processor: a message to pop
-// when recv, room to push otherwise. Each pass publishes the wait
-// code, re-checks the ring (a partner that pushed or popped before
-// seeing the code would not wake us), then looks at the two conditions
-// that end a wait without link traffic — a sibling's failure (a
-// non-blocking receive on an open channel takes no lock) and, for
-// receives, the deadlock watchdog — and only then sleeps.
-func (p *Proc) park(l *link, recv bool, d, tag int) {
-	k, code := p.pk, l.txWait
-	if recv {
-		code = l.rxWait
-	}
-	p.m.parkEnter()
-	for {
-		k.state.Store(code)
-		if recv && l.canPop() || !recv && l.canPush() {
-			break
-		}
-		select {
-		case <-p.abort:
-			k.state.Store(0)
-			p.m.parkExit()
-			panic(abortedError{})
-		default:
-		}
-		if recv && p.watch() {
-			k.state.Store(0)
-			p.m.parkExit()
-			panic(fmt.Sprintf("recv timeout on dim %d (tag %d): deadlock", d, tag))
-		}
-		<-k.wake
-	}
-	k.state.Store(0)
-	p.m.parkExit()
-	p.nWakeups++
-	p.waitKind = flightrec.WaitNone
-}
-
-// watch runs the deadlock watchdog from a parked receive and reports
-// whether the program is deadlocked: the armed window expired without
-// a single message delivered to this processor. A window that expired
-// after progress re-arms, so a genuine deadlock is reported within two
-// timeout windows, while the steady state pays no per-Recv timer
-// traffic: the timer stays armed across successful receives.
-//
-// The timer is a time.AfterFunc that bumps pk.fires and drops a wake
-// token; it captures only the parker, never the Proc or the Machine,
-// so an armed timer cannot keep a finished or dropped Machine alive.
-// A fire left over from an earlier arming — one that was already
-// running when disarmWatchdog's Stop came too late — must not read as
-// the current window's: wdGen counts every arming that has fired or
-// still will, fires can never exceed it, and fires == wdGen holds only
-// once all of them, the current one included, have fired.
-func (p *Proc) watch() bool {
-	if p.wdArmed && p.pk.fires.Load() == p.wdGen {
-		p.wdArmed = false
-		if p.recvSeq == p.wdSeq {
-			return true
-		}
-		p.nRearms++
-	}
-	if !p.wdArmed {
-		if p.wdTimer == nil {
-			p.wdTimer = time.AfterFunc(p.m.recvTimeout, p.pk.fire)
-		} else {
-			p.wdTimer.Reset(p.m.recvTimeout)
-		}
-		p.wdGen++
-		p.wdArmed = true
-		p.wdSeq = p.recvSeq
-		p.nArms++
-	}
-	return false
-}
-
-// disarmWatchdog stops an armed watchdog. The next run does it first
-// thing, so a timeout changed via SetRecvTimeout takes effect at the
-// next arming, and Close does it so a closed Machine leaves no timer
-// queued. Between runs the timer stays armed on purpose: on a 2-vCPU
-// host, stopping it at the end of every body instead measured
-// ReduceRows (d=6, n=1024, back-to-back runs) at a 1.02–1.10 ms median
-// against 0.85–0.91 ms, and about as slow with no timer at all. A
-// Stop that comes too late leaves its fire counted in wdGen.
-func (p *Proc) disarmWatchdog() {
-	if p.wdArmed {
-		if p.wdTimer.Stop() {
-			p.wdGen--
-		}
-		p.wdArmed = false
-	}
 }
 
 // Exchange performs the paired send/receive with the neighbor along

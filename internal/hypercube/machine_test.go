@@ -191,7 +191,6 @@ func TestExchangeOwnedHandsOverTheBuffer(t *testing.T) {
 
 func TestTagMismatchPanics(t *testing.T) {
 	m := MustNew(1, costmodel.Ideal())
-	m.SetRecvTimeout(2 * time.Second)
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			p.Send(0, 1, nil)
@@ -206,7 +205,6 @@ func TestTagMismatchPanics(t *testing.T) {
 
 func TestPanicPropagatesWithProcID(t *testing.T) {
 	m := MustNew(2, costmodel.Ideal())
-	m.SetRecvTimeout(2 * time.Second)
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 3 {
 			panic("boom")
@@ -222,7 +220,6 @@ func TestAbortUnblocksBlockedReceivers(t *testing.T) {
 	// must finish promptly (well under the recv timeout) and report
 	// the original panic.
 	m := MustNew(3, costmodel.Ideal())
-	m.SetRecvTimeout(time.Minute)
 	start := time.Now()
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
@@ -240,7 +237,6 @@ func TestAbortUnblocksBlockedReceivers(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	m := MustNew(1, costmodel.Ideal())
-	m.SetRecvTimeout(200 * time.Millisecond)
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			p.Recv(0, 1) // nobody sends
@@ -253,7 +249,6 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestMachineReusableAfterError(t *testing.T) {
 	m := MustNew(2, costmodel.Ideal())
-	m.SetRecvTimeout(2 * time.Second)
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			p.Send(0, 5, []float64{1}) // left in flight: run aborts
@@ -366,7 +361,6 @@ func TestExchangeAllAllPortsCostsMax(t *testing.T) {
 
 func TestExchangeAllRejectsDuplicateDims(t *testing.T) {
 	m := MustNew(2, costmodel.Ideal())
-	m.SetRecvTimeout(2 * time.Second)
 	_, err := m.Run(func(p *Proc) {
 		p.ExchangeAll([]int{0, 0}, 1, [][]float64{{1}, {2}})
 	})
@@ -377,7 +371,6 @@ func TestExchangeAllRejectsDuplicateDims(t *testing.T) {
 
 func TestExchangeAllRejectsLengthMismatch(t *testing.T) {
 	m := MustNew(2, costmodel.Ideal())
-	m.SetRecvTimeout(2 * time.Second)
 	_, err := m.Run(func(p *Proc) {
 		p.ExchangeAll([]int{0, 1}, 1, [][]float64{{1}})
 	})
@@ -388,7 +381,6 @@ func TestExchangeAllRejectsLengthMismatch(t *testing.T) {
 
 func TestDimRangeChecked(t *testing.T) {
 	m := MustNew(2, costmodel.Ideal())
-	m.SetRecvTimeout(2 * time.Second)
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			p.Send(2, 1, nil)

@@ -237,3 +237,35 @@ func TestCloseIdempotentAndFreshMachineStillRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkLockstepExchange is the engine-layer probe: every processor
+// of a d=8 cube exchanges one word on every dimension in turn, so each
+// message meets a receiver at the virtual-time frontier and the run is
+// bound by send, receive, park and wake. It reports host ns per
+// message.
+func BenchmarkLockstepExchange(b *testing.B) {
+	const dim, rounds = 8, 16
+	m := MustNew(dim, costmodel.CM2())
+	defer m.Close()
+	body := func(p *Proc) {
+		buf := p.GetBuf(1)
+		buf[0] = float64(p.ID())
+		for r := 0; r < rounds; r++ {
+			for d := 0; d < dim; d++ {
+				p.Recycle(p.Exchange(d, r, buf))
+			}
+		}
+		p.Recycle(buf)
+	}
+	if _, err := m.Run(body); err != nil {
+		b.Fatal(err)
+	}
+	msgs := m.LastStats().Messages
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*msgs), "ns/msg")
+}

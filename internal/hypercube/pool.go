@@ -23,9 +23,8 @@ import "math/bits"
 // moves its wires with ExchangeOwned, which bypasses the pool; the
 // receiver drops each wire once decoded.
 //
-// The pool is single-goroutine by construction: each Proc's pool is
-// touched only by that processor's worker goroutine (or by host code
-// between runs), so get/put need no synchronization.
+// The pool is single-owner by construction: each Proc's pool is
+// touched only by that processor (or by host code between runs), so get/put need no synchronization.
 
 // poolClasses bounds the capacity classes kept (2^27 floats = 1 GiB of
 // payload per buffer is far beyond any simulated message).
@@ -43,7 +42,7 @@ const poolDepth = 64
 // bufPool is a segregated free list of []float64 scratch buffers. The
 // gets/hits counters feed the machine's metrics registry (pool hit
 // rate); they are reset by every Run and, like the free lists, are
-// touched only by the owning processor's goroutine.
+// touched only by the owning processor.
 type bufPool struct {
 	free [poolClasses][][]float64
 

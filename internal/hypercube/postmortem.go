@@ -14,7 +14,7 @@ import (
 // Both follow the observability discipline of profile.go: the hot
 // paths only bump plain per-processor int64 counters and write into
 // preallocated rings; everything here runs once per Run, after the
-// worker goroutines have quiesced (rc.wg.Wait establishes the
+// workers have quiesced (rc.wg.Wait establishes the
 // happens-before edge that makes reading their state safe).
 
 // RunError is the error Run returns when a processor fails. It wraps
@@ -170,7 +170,6 @@ type machMetrics struct {
 	msgs, words, flops       *metrics.Counter
 	colls                    *metrics.Counter
 	poolGets, poolHits       *metrics.Counter
-	wdArms, wdRearms         *metrics.Counter
 	recvParks, sendStalls    *metrics.Counter
 	wakeups                  *metrics.Counter
 	lastElapsed, poolHitRate *metrics.Gauge
@@ -187,17 +186,13 @@ type machMetrics struct {
 }
 
 // schedMetricNames lists the registry entries fed by the host
-// scheduler (plus the watchdog counters, which share its host-timing
-// dependence). They describe host execution, not the simulated
-// machine, so they are exempt from the bit-identical-across-GOMAXPROCS
+// scheduler. They describe host execution, not the simulated machine, so they are exempt from the bit-identical-across-GOMAXPROCS
 // guarantee; the determinism stress tests exclude exactly this set.
 var schedMetricNames = map[string]bool{
 	"vmprim_sched_recv_parks_total":  true,
 	"vmprim_sched_send_stalls_total": true,
 	"vmprim_sched_wakeups_total":     true,
 	"vmprim_sched_max_parked_procs":  true,
-	"vmprim_watchdog_arms_total":     true,
-	"vmprim_watchdog_rearms_total":   true,
 }
 
 // HostSchedMetricNames reports whether name is one of the
@@ -216,14 +211,12 @@ func newMachMetrics() machMetrics {
 		colls:       reg.Counter("vmprim_collectives_total", "collective protocol invocations"),
 		poolGets:    reg.Counter("vmprim_pool_gets_total", "buffer-pool get requests"),
 		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list"),
-		wdArms:      reg.Counter("vmprim_watchdog_arms_total", "deadlock-watchdog timer arms"),
-		wdRearms:    reg.Counter("vmprim_watchdog_rearms_total", "watchdog fires that found progress and re-armed"),
-		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "host goroutine parks waiting at the virtual-time frontier for a message (host-nondeterministic)"),
-		sendStalls:  reg.Counter("vmprim_sched_send_stalls_total", "host goroutine parks on a full link buffer, run-ahead backpressure (host-nondeterministic)"),
+		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "processor parks waiting at the virtual-time frontier for a message (host-nondeterministic)"),
+		sendStalls:  reg.Counter("vmprim_sched_send_stalls_total", "processor parks on a full link buffer, run-ahead backpressure (host-nondeterministic)"),
 		wakeups:     reg.Counter("vmprim_sched_wakeups_total", "frontier parks resumed by link traffic (host-nondeterministic)"),
 		lastElapsed: reg.Gauge("vmprim_last_elapsed_us", "simulated time of the most recent run"),
 		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run"),
-		maxParked:   reg.Gauge("vmprim_sched_max_parked_procs", "high-water mark of concurrently parked processor goroutines in the most recent run (host-nondeterministic)"),
+		maxParked:   reg.Gauge("vmprim_sched_max_parked_procs", "sum over workers of each worker's high-water mark of parked processors in the most recent run (host-nondeterministic)"),
 		msgWords:    reg.Histogram("vmprim_message_words", "payload size of link messages in 64-bit words", msgWordBounds),
 
 		cpCompute:    reg.Gauge("vmprim_critpath_compute_us", "compute time on the most recent run's critical path"),
@@ -255,7 +248,7 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, sch SchedStats, failed b
 	mm.sendStalls.Add(sch.SendStalls)
 	mm.wakeups.Add(sch.Wakeups)
 	mm.maxParked.Set(float64(sch.MaxParked))
-	var msgs, words, flops, colls, gets, hits, arms, rearms int64
+	var msgs, words, flops, colls, gets, hits int64
 	var hist [msgHistBins]int64
 	for _, pr := range m.procs {
 		msgs += pr.nMsgs
@@ -264,8 +257,6 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, sch SchedStats, failed b
 		colls += pr.nColl
 		gets += pr.pool.gets
 		hits += pr.pool.hits
-		arms += pr.nArms
-		rearms += pr.nRearms
 		for i, c := range pr.msgHist {
 			hist[i] += c
 		}
@@ -276,8 +267,6 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, sch SchedStats, failed b
 	mm.colls.Add(colls)
 	mm.poolGets.Add(gets)
 	mm.poolHits.Add(hits)
-	mm.wdArms.Add(arms)
-	mm.wdRearms.Add(rearms)
 	mm.lastElapsed.Set(float64(elapsed))
 	rate := 1.0
 	if gets > 0 {

@@ -22,7 +22,6 @@ func exchangeDim(id int) int { return (id & 1) ^ ((id >> 1) & 1) }
 func TestDeadlockPostMortemNamesEveryBlockedProc(t *testing.T) {
 	m := MustNew(2, costmodel.CM2())
 	defer m.Close()
-	m.SetRecvTimeout(100 * time.Millisecond)
 	const tag = 9
 	_, err := m.Run(func(p *Proc) {
 		p.Exchange(exchangeDim(p.id), tag, []float64{1, 2, 3})
@@ -206,22 +205,6 @@ func TestPostMortemOpenSpansAndCollectives(t *testing.T) {
 	m.EnableProfile(false)
 }
 
-func TestSetDefaultRecvTimeout(t *testing.T) {
-	SetDefaultRecvTimeout(123 * time.Millisecond)
-	defer SetDefaultRecvTimeout(0)
-	m := MustNew(0, costmodel.CM2())
-	defer m.Close()
-	if m.recvTimeout != 123*time.Millisecond {
-		t.Fatalf("recvTimeout = %v, want 123ms", m.recvTimeout)
-	}
-	SetDefaultRecvTimeout(0)
-	m2 := MustNew(0, costmodel.CM2())
-	defer m2.Close()
-	if m2.recvTimeout != DefaultRecvTimeout {
-		t.Fatalf("recvTimeout = %v, want restored default %v", m2.recvTimeout, DefaultRecvTimeout)
-	}
-}
-
 func TestMetricsReconcileWithObservability(t *testing.T) {
 	m := MustNew(3, costmodel.CM2())
 	defer m.Close()
@@ -313,15 +296,14 @@ func TestMetricsReconcileWithObservability(t *testing.T) {
 	}
 }
 
-func TestWatchdogRearmCountsAsProgress(t *testing.T) {
+func TestSlowSenderIsNotADeadlock(t *testing.T) {
+	// A receiver waits on a sender that is busy on the host (here
+	// sleeping) for far longer than any detection latency: its worker
+	// is running, so the wait is not a deadlock.
 	m := MustNew(1, costmodel.CM2())
 	defer m.Close()
-	m.SetRecvTimeout(100 * time.Millisecond)
 	if _, err := m.Run(func(p *Proc) {
 		if p.id == 0 {
-			// First message arrives inside proc 1's first watchdog
-			// window; the second only inside the window the watchdog
-			// opens when its fire finds progress and re-arms.
 			time.Sleep(20 * time.Millisecond)
 			p.Send(0, 1, []float64{1})
 			time.Sleep(130 * time.Millisecond)
@@ -332,12 +314,5 @@ func TestWatchdogRearmCountsAsProgress(t *testing.T) {
 		p.Recycle(p.Recv(0, 2))
 	}); err != nil {
 		t.Fatal(err)
-	}
-	snap := m.Metrics().Snapshot()
-	if v, _ := snap.Value("vmprim_watchdog_arms_total"); v < 1 {
-		t.Fatalf("watchdog_arms_total = %v, want >= 1", v)
-	}
-	if v, _ := snap.Value("vmprim_watchdog_rearms_total"); v < 1 {
-		t.Fatalf("watchdog_rearms_total = %v, want >= 1: the fire at 100ms sees the first delivery and re-arms", v)
 	}
 }

@@ -4,7 +4,7 @@ import "vmprim/internal/obs"
 
 // Live event streaming (see internal/obs stream.go for the event
 // vocabulary). The machine emits span-open/span-close/progress events
-// from processor 0's goroutine while the run executes, and a
+// from processor 0 while the run executes, and a
 // link-congestion summary once the workers have quiesced. Emission
 // only observes clocks, never advances them, so a streamed run's
 // simulated results are bit-identical to an unstreamed one — the same
@@ -23,7 +23,7 @@ const streamLinkTopK = 8
 // when EnableProfile (or EnableCritPath) is also set; progress and
 // link-congestion events flow regardless. Like EnableProfile it must
 // be called between runs, never during one. The sink is invoked inline
-// on processor 0's worker goroutine (and on Run's caller for the link
+// on processor 0's worker (and on Run's caller for the link
 // summary), so it must be cheap and must not block.
 func (m *Machine) EnableStream(sink obs.StreamSink) {
 	m.mu.Lock()

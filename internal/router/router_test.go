@@ -121,7 +121,6 @@ func TestRouteManyToMany(t *testing.T) {
 
 func TestRouteDestinationRangeChecked(t *testing.T) {
 	m := hypercube.MustNew(2, costmodel.CM2())
-	m.SetRecvTimeout(2e9)
 	_, err := m.Run(func(p *hypercube.Proc) {
 		if p.ID() == 0 {
 			Route(p, 1, []Msg{{Dst: 99}})

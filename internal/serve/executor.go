@@ -60,8 +60,8 @@ func (s *Server) execute(run *Run) {
 	}
 	runMetrics := metrics.Delta(after, before)
 
-	// A failed run tears down cleanly (the watchdog aborts and the
-	// workers quiesce), so the machine goes back to the pool either way.
+	// A failed run tears down cleanly (the abort or deadlock detector
+	// unwinds every processor and the workers quiesce), so the machine goes back to the pool either way.
 	s.pool.Release(key, m)
 
 	var pm *flightrec.Report

@@ -30,11 +30,17 @@ BASELINE=scripts/allocgate_baseline.txt
 # current prints "file count" per source file, sorted, for every
 # "escapes to heap" / "moved to heap" diagnostic in the gated
 # packages. -gcflags without a pattern applies only to the packages
-# named on the command line, so dependencies don't pollute the count.
+# named on the command line, so dependencies don't pollute the count;
+# standard-library generics instantiated in them (iter.Pull) report
+# under their GOROOT file, written GOROOT/... so the baseline does not
+# depend on where the toolchain is installed.
 current() {
+  local goroot
+  goroot=$(go env GOROOT)
   go build -gcflags=-m "${PKGS[@]}" 2>&1 |
     grep -E 'escapes to heap|moved to heap' |
     cut -d: -f1 |
+    sed "s|^$goroot/|GOROOT/|" |
     sort | uniq -c |
     awk '{ print $2, $1 }'
 }

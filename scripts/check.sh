@@ -46,7 +46,7 @@ go build ./...
 # vmlint: the repo's own analyzers (SPMD protocol agreement, span
 # balance, buffer ownership, determinism, host concurrency). Build the tool once, then lint
 # before spending time on tests — a lint finding is file:line:col
-# actionable, a deadlocked test run is a 30s watchdog timeout.
+# actionable, a deadlocked test run is only a runtime post-mortem.
 vmlint_bin=$(mktemp)
 go build -o "$vmlint_bin" ./cmd/vmlint
 "$vmlint_bin" ./... || { rm -f "$vmlint_bin"; echo "vmlint failed" >&2; exit 1; }
@@ -121,7 +121,7 @@ PYEOF
 # structured report that names every processor's blocked receive, and
 # the metrics snapshot must record the failed run. The command itself
 # exits nonzero unless the report shows all procs blocked.
-go run ./cmd/vmprim -demo-deadlock -recv-timeout 300ms \
+go run ./cmd/vmprim -demo-deadlock \
 	-postmortem-out "$tmpdir/postmortem.json" \
 	-metrics-out "$tmpdir/metrics.prom" >"$tmpdir/postmortem.txt"
 python3 - "$tmpdir/postmortem.json" <<'PYEOF'
@@ -232,13 +232,12 @@ vmprimd_pass() { # $1: pass name; $2: GOMAXPROCS value ("" = host default)
 	python3 scripts/critpath_schema_check.py "$pdir/critpath.json" scripts/critpath_schema.json
 	python3 - "$pdir/metrics.json" "$pdir/cli-metrics.json" <<'PYEOF'
 import json, sys
-# Host-scheduler and watchdog counters depend on goroutine interleaving
+# Host-scheduler counters depend on worker interleaving
 # by design; everything else in the per-run metrics is simulated truth
 # and must match the CLI's fresh-machine snapshot exactly.
 sched = {
     "vmprim_sched_recv_parks_total", "vmprim_sched_send_stalls_total",
     "vmprim_sched_wakeups_total", "vmprim_sched_max_parked_procs",
-    "vmprim_watchdog_arms_total", "vmprim_watchdog_rearms_total",
 }
 def load(p):
     doc = json.load(open(p))
